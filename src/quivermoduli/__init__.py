@@ -12,6 +12,7 @@ from .errors import (
     BudgetExceededError,
     DegenerateValueError,
     HomNonvanishingError,
+    InternalInvariantError,
     LatticeMismatchError,
     MalformedSummandError,
     NormalizationError,

@@ -31,7 +31,7 @@ from .quiver import (
     quadratic_form,
     simple_rep_exists,
 )
-from .scenario import Scenario, frac_to_str, gauss_to_obj, load_scenario
+from .scenario import Scenario, load_scenario, to_wire
 from .stability import WeightedFiltration, normalize
 from .stratum import HyperbolicPair, analyze_stratum, detect_totally_semistable
 
@@ -73,232 +73,228 @@ class Report:
         return json.dumps(doc, sort_keys=True)
 
 
-def _vec(scenario: Scenario, name: str):
-    if name not in scenario.vectors:
-        raise UnknownCommandError(f"unknown vector {name!r}")
-    return scenario.vectors[name]
+# kind of named entry -> the Scenario section holding it
+_SECTIONS = {
+    "vector": "vectors",
+    "stability function": "stability",
+    "character": "characters",
+    "filtration": "filtrations",
+    "representation": "representations",
+}
 
 
-def _zfun(scenario: Scenario, name: str):
-    if name not in scenario.stability:
-        raise UnknownCommandError(f"unknown stability function {name!r}")
-    return scenario.stability[name]
+def _named(sc: Scenario, kind: str, name: str):
+    entries = getattr(sc, _SECTIONS[kind])
+    if name not in entries:
+        raise UnknownCommandError(f"unknown {kind} {name!r}")
+    return entries[name]
 
 
-def _char(scenario: Scenario, name: str):
-    if name not in scenario.characters:
-        raise UnknownCommandError(f"unknown character {name!r}")
-    return scenario.characters[name]
+# positional argument -> kind of named entry it refers to
+_ARG_KINDS = {
+    "a": "vector",
+    "b": "vector",
+    "v": "vector",
+    "z": "stability function",
+    "theta": "character",
+    "rep": "representation",
+}
 
 
-def _rep(scenario: Scenario, name: str):
-    if name not in scenario.representations:
-        raise UnknownCommandError(f"unknown representation {name!r}")
-    return scenario.representations[name]
+def _arg(sc: Scenario, args: dict, key: str):
+    return _named(sc, _ARG_KINDS[key], args[key])
 
 
-def _decomp(scenario: Scenario):
-    if scenario.decomposition is None:
+def _decomp(sc: Scenario):
+    if sc.decomposition is None:
         raise UnknownCommandError("scenario has no decomposition")
-    return scenario.decomposition
+    return sc.decomposition
 
 
-def _filtration(scenario: Scenario, name: str) -> WeightedFiltration:
-    if name not in scenario.filtrations:
-        raise UnknownCommandError(f"unknown filtration {name!r}")
-    steps = tuple(
-        (w, _vec(scenario, vname)) for w, vname in scenario.filtrations[name]
-    )
-    return WeightedFiltration(steps)
+def _filtration(sc: Scenario, name: str) -> WeightedFiltration:
+    steps = _named(sc, "filtration", name)
+    return WeightedFiltration(tuple((w, _named(sc, "vector", v)) for w, v in steps))
 
 
-def _dimvec(scenario: Scenario, args: dict):
+def _quiver_and_n(sc: Scenario, args: dict):
+    """The effective quiver, then the dimension vector: ``--n`` or else
+    the decomposition's multiplicities."""
+    q = sc.effective_quiver()
     if args.get("n"):
-        return tuple(int(x) for x in args["n"].split(","))
-    return _decomp(scenario).multiplicities
+        return q, tuple(int(x) for x in args["n"].split(","))
+    return q, _decomp(sc).multiplicities
 
 
-def _mat_obj(m) -> list:
-    return [[frac_to_str(x) for x in row] for row in m]
+def _root_budget(sc: Scenario, ov: Overrides) -> int:
+    return ov.budget if ov.budget is not None else sc.budgets["root_budget"]
 
 
-def _witness_obj(witness) -> list:
-    return [_mat_obj(span) for span in witness.spans]
+def _box_bound(sc: Scenario, ov: Overrides) -> int:
+    return ov.bound if ov.bound is not None else sc.budgets["box_bound"]
+
+
+def _walls(sc: Scenario, args: dict, ov: Overrides):
+    q, n = _quiver_and_n(sc, args)
+    return n, walls.enumerate_walls(q, n, budget=_root_budget(sc, ov))
+
+
+def _z0_value(sc: Scenario, args: dict):
+    decomp = _decomp(sc)
+    return _named(sc, "stability function", args.get("z0") or "Z0")(decomp.total())
+
+
+def _slice(sc: Scenario, args: dict):
+    """(Z, Z0(total), decomposition): the arguments of the slice maps."""
+    z = _arg(sc, args, "z")
+    return z, _z0_value(sc, args), _decomp(sc)
 
 
 # --- handlers ---------------------------------------------------------------
+# Each handler returns its results as library objects (``to_wire`` encodes
+# them), or (results, trace) for the commands that keep a trace.
 
 
 def _h_lattice_pair(sc, args, ov):
-    return {"value": pairing(_vec(sc, args["a"]), _vec(sc, args["b"]))}, []
+    return {"value": pairing(_arg(sc, args, "a"), _arg(sc, args, "b"))}
 
 
 def _h_lattice_square(sc, args, ov):
-    return {"value": square(_vec(sc, args["v"]))}, []
+    return {"value": square(_arg(sc, args, "v"))}
 
 
 def _h_lattice_classify(sc, args, ov):
-    return {"kind": classify(_vec(sc, args["v"])).value}, []
+    return {"kind": classify(_arg(sc, args, "v"))}
 
 
 def _h_lattice_signature(sc, args, ov):
-    pos, neg, zero = signature(sc.lattice)
-    return {"positive": pos, "negative": neg, "zero": zero}, []
+    return dict(zip(("positive", "negative", "zero"), signature(sc.lattice)))
 
 
 def _h_lattice_isotropic(sc, args, ov):
-    bound = ov.bound if ov.bound is not None else sc.budgets["box_bound"]
+    bound = _box_bound(sc, ov)
     found = find_isotropic(sc.lattice, bound)
-    return {
-        "found": found is not None,
-        "vector": list(found.coords) if found is not None else None,
-        "searched_bound": bound,
-    }, []
+    return {"found": found is not None, "vector": found, "searched_bound": bound}
 
 
 def _h_quiver_build(sc, args, ov):
     q = sc.effective_quiver()
     return {
         "vertices": q.num_vertices,
-        "loops": list(q.loops),
-        "arrows": [list(a) for a in q.arrows],
-        "neg_cartan": [list(row) for row in q.neg_cartan()],
-    }, []
+        "loops": q.loops,
+        "arrows": q.arrows,
+        "neg_cartan": q.neg_cartan(),
+    }
 
 
 def _h_quiver_dim(sc, args, ov):
-    q = sc.effective_quiver()
-    n = _dimvec(sc, args)
+    q, n = _quiver_and_n(sc, args)
     return {
-        "n": list(n),
+        "n": n,
         "quadratic_form": quadratic_form(q, n),
         "expected_dimension": expected_dimension(q, n),
         "num_parameters": num_parameters(q, n),
         "degenerate": all(x == 0 for x in n),
-    }, []
+    }
 
 
 def _h_quiver_roots(sc, args, ov):
-    q = sc.effective_quiver()
-    n = _dimvec(sc, args)
-    budget = ov.budget if ov.budget is not None else sc.budgets["root_budget"]
-    roots = enumerate_positive_roots(q, n, budget=budget)
-    return {"n": list(n), "roots": [list(r) for r in roots]}, []
+    q, n = _quiver_and_n(sc, args)
+    roots = enumerate_positive_roots(q, n, budget=_root_budget(sc, ov))
+    return {"n": n, "roots": roots}
 
 
 def _h_quiver_simple_exists(sc, args, ov):
-    q = sc.effective_quiver()
-    n = _dimvec(sc, args)
-    budget = ov.budget if ov.budget is not None else sc.budgets["root_budget"]
-    verdict = simple_rep_exists(q, n, budget=budget)
+    q, n = _quiver_and_n(sc, args)
+    verdict = simple_rep_exists(q, n, budget=_root_budget(sc, ov))
     return {
         "exists": verdict.exists,
         "reason": verdict.reason,
-        "violating_parts": (
-            [list(p) for p in verdict.violating_parts]
-            if verdict.violating_parts
-            else None
-        ),
-    }, []
+        "violating_parts": verdict.violating_parts,
+    }
 
 
 def _h_quiver_merge_check(sc, args, ov):
-    return {
-        "merges": pairwise_merge_check(_vec(sc, args["a"]), _vec(sc, args["b"]))
-    }, []
+    return {"merges": pairwise_merge_check(_arg(sc, args, "a"), _arg(sc, args, "b"))}
 
 
 def _h_rep_moment_map(sc, args, ov):
-    rep = _rep(sc, args["rep"])
-    blocks = representation.moment_map(rep)
-    total = sum((linalg.trace(b) for b in blocks), Fraction(0))
+    blocks = representation.moment_map(_arg(sc, args, "rep"))
     return {
-        "blocks": [_mat_obj(b) for b in blocks],
-        "trace_sum": frac_to_str(total),
-    }, []
+        "blocks": blocks,
+        "trace_sum": sum((linalg.trace(b) for b in blocks), Fraction(0)),
+    }
 
 
 def _h_rep_check_fiber(sc, args, ov):
-    rep = _rep(sc, args["rep"])
-    return {"in_zero_fiber": representation.in_zero_fiber(rep)}, []
+    rep = _arg(sc, args, "rep")
+    return {"in_zero_fiber": representation.in_zero_fiber(rep)}
+
+
+def _search(sc, args, ov, search):
+    rep = _arg(sc, args, "rep")
+    theta = _arg(sc, args, "theta")
+    return search(rep, theta, sc.search_limits(seed=ov.seed, budget=ov.budget))
 
 
 def _h_rep_destabilize(sc, args, ov):
-    rep = _rep(sc, args["rep"])
-    theta = _char(sc, args["theta"])
-    limits = sc.search_limits(seed=ov.seed, budget=ov.budget)
-    result = representation.destabilizer_search(rep, theta, limits)
-    results = {"found": result.found}
+    result = _search(sc, args, ov, representation.destabilizer_search)
     if result.found:
-        results["witness"] = _witness_obj(result.witness)
-        results["slope"] = frac_to_str(result.slope)
-    else:
-        results["certificate"] = {
-            "seeds_tried": [list(t) for t in result.certificate.seeds_tried],
+        return {"found": True, "witness": result.witness.spans, "slope": result.slope}
+    return {
+        "found": False,
+        "certificate": {
+            "seeds_tried": result.certificate.seeds_tried,
             "budget_used": result.certificate.budget_used,
-        }
-    return results, []
+        },
+    }
 
 
 def _h_rep_jh(sc, args, ov):
-    rep = _rep(sc, args["rep"])
-    theta = _char(sc, args["theta"])
-    limits = sc.search_limits(seed=ov.seed, budget=ov.budget)
-    result = representation.jordan_holder_search(rep, theta, limits)
-    results = {"complete": result.complete}
+    result = _search(sc, args, ov, representation.jordan_holder_search)
     if result.complete:
-        results["steps"] = [_witness_obj(w) for w in result.steps]
-        results["graded_dims"] = [list(d) for d in result.graded_dims]
-    else:
-        results["reason"] = result.reason
-    return results, []
+        return {
+            "complete": True,
+            "steps": [w.spans for w in result.steps],
+            "graded_dims": result.graded_dims,
+        }
+    return {"complete": False, "reason": result.reason}
 
 
 def _h_stab_normalize(sc, args, ov):
-    z = normalize(_zfun(sc, args["z"]), _vec(sc, args["v"]))
-    return {"values": [gauss_to_obj(x) for x in z.values]}, []
+    return {"values": normalize(_arg(sc, args, "z"), _arg(sc, args, "v")).values}
 
 
 def _h_stab_phase(sc, args, ov):
-    ph = stability.phase(_zfun(sc, args["z"]), _vec(sc, args["v"]))
-    value = ph.as_fraction
-    return {
-        "direction": list(ph.direction),
-        "value": frac_to_str(value) if value is not None else None,
-    }, []
+    ph = stability.phase(_arg(sc, args, "z"), _arg(sc, args, "v"))
+    return {"direction": ph.direction, "value": ph.as_fraction}
 
 
 def _h_stab_slope(sc, args, ov):
-    sl = stability.slope(_zfun(sc, args["z"]), _vec(sc, args["v"]))
-    if sl is stability.INFINITE_SLOPE:
-        return {"slope": "infinite"}, []
-    return {"slope": frac_to_str(sl)}, []
+    sl = stability.slope(_arg(sc, args, "z"), _arg(sc, args, "v"))
+    return {"slope": "infinite" if sl is stability.INFINITE_SLOPE else sl}
 
 
 def _h_stab_weight(sc, args, ov):
     filt = _filtration(sc, args["filtration"])
-    value = stability.filtration_weight(_zfun(sc, args["z"]), filt)
-    return {"weight": frac_to_str(value)}, []
+    return {"weight": stability.filtration_weight(_arg(sc, args, "z"), filt)}
 
 
 def _h_stab_theta_unstable(sc, args, ov):
-    z = _zfun(sc, args["z"])
-    total = _vec(sc, args["v"])
-    names = [n for n in args["classes"].split(",") if n]
-    classes = [_vec(sc, n) for n in names]
+    z = _arg(sc, args, "z")
+    total = _arg(sc, args, "v")
+    classes = [_named(sc, "vector", n) for n in args["classes"].split(",") if n]
     verdict = stability.theta_unstable(z, total, classes)
-    results = {"unstable": verdict.unstable}
-    if verdict.unstable:
-        results["weight"] = frac_to_str(verdict.weight)
-        results["witness_steps"] = [
-            {"weight": w, "class": list(v.coords)} for w, v in verdict.witness.steps
-        ]
-    return results, []
+    if not verdict.unstable:
+        return {"unstable": False}
+    return {
+        "unstable": True,
+        "weight": verdict.weight,
+        "witness_steps": [{"weight": w, "class": v} for w, v in verdict.witness.steps],
+    }
 
 
 def _h_stab_chi_sigma(sc, args, ov):
-    exps = stability.character_exponents(_zfun(sc, args["z"]), _decomp(sc))
-    return {"exponents": [frac_to_str(e) for e in exps]}, []
+    return {"exponents": stability.character_exponents(_arg(sc, args, "z"), _decomp(sc))}
 
 
 def _h_stab_classical_weight(sc, args, ov):
@@ -307,129 +303,94 @@ def _h_stab_classical_weight(sc, args, ov):
         [(int(w), [int(c) for c in coeffs]) for w, coeffs in terms],
         int(args["ell"]),
     )
-    return {"value": value}, []
+    return {"value": value}
 
 
 def _h_stab_kclass(sc, args, ov):
-    filt = _filtration(sc, args["filtration"])
-    kc = stability.k_class(filt)
+    kc = stability.k_class(_filtration(sc, args["filtration"]))
     return {
-        "terms": [{"exponent": e, "class": list(v.coords)} for e, v in kc.terms],
-        "at_one": list(kc.at_one().coords),
-    }, []
+        "terms": [{"exponent": e, "class": v} for e, v in kc.terms],
+        "at_one": kc.at_one(),
+    }
 
 
 def _h_walls_enumerate(sc, args, ov):
-    q = sc.effective_quiver()
-    n = _dimvec(sc, args)
-    budget = ov.budget if ov.budget is not None else sc.budgets["root_budget"]
-    found = walls.enumerate_walls(q, n, budget=budget)
+    _, found = _walls(sc, args, ov)
     return {
         "walls": [
-            {
-                "alpha": list(w.alpha),
-                "degenerate": w.degenerate,
-                "at_bound": w.at_bound,
-            }
+            {"alpha": w.alpha, "degenerate": w.degenerate, "at_bound": w.at_bound}
             for w in found
         ]
-    }, []
+    }
 
 
 def _h_walls_locate(sc, args, ov):
-    q = sc.effective_quiver()
-    n = _dimvec(sc, args)
-    budget = ov.budget if ov.budget is not None else sc.budgets["root_budget"]
-    found = walls.enumerate_walls(q, n, budget=budget)
-    theta = walls.CharacterPoint(_char(sc, args["theta"]), n)
+    n, found = _walls(sc, args, ov)
+    theta = walls.CharacterPoint(_arg(sc, args, "theta"), n)
     sig = walls.locate_chamber(theta, found)
     return {
         "signature": sig.as_string(),
         "open_chamber": sig.open_chamber,
-        "walls": [list(w.alpha) for w in found],
-    }, []
-
-
-def _z0_value(sc, args):
-    decomp = _decomp(sc)
-    z0 = _zfun(sc, args.get("z0") or "Z0")
-    return z0(decomp.total())
+        "walls": [w.alpha for w in found],
+    }
 
 
 def _h_walls_gamma(sc, args, ov):
-    degrees = walls.degree_vector(
-        _zfun(sc, args["z"]), _z0_value(sc, args), _decomp(sc)
-    )
-    return {"degrees": [frac_to_str(d) for d in degrees]}, []
+    return {"degrees": walls.degree_vector(*_slice(sc, args))}
 
 
 def _h_walls_slice_check(sc, args, ov):
-    ok = walls.on_slice(_zfun(sc, args["z"]), _z0_value(sc, args), _decomp(sc))
-    return {"on_slice": ok}, []
+    return {"on_slice": walls.on_slice(*_slice(sc, args))}
 
 
 def _h_walls_xi(sc, args, ov):
-    theta = walls.to_character(
-        _zfun(sc, args["z"]), _z0_value(sc, args), _decomp(sc)
-    )
-    return {
-        "theta": [frac_to_str(t) for t in theta.theta],
-        "n": list(theta.n),
-    }, []
+    theta = walls.to_character(*_slice(sc, args))
+    return {"theta": theta.theta, "n": theta.n}
 
 
 def _h_walls_correspondence(sc, args, ov):
     alpha = tuple(int(x) for x in args["alpha"].split(","))
-    samples = [_zfun(sc, name) for name in args["samples"].split(",") if name]
+    samples = [_named(sc, "stability function", name)
+               for name in args["samples"].split(",") if name]
     holds = walls.wall_correspondence_holds(
         alpha, samples, _z0_value(sc, args), _decomp(sc)
     )
-    return {"alpha": list(alpha), "holds": holds}, []
+    return {"alpha": alpha, "holds": holds}
 
 
 def _h_wall_classify_tss(sc, args, ov):
-    v = _vec(sc, args["v"])
-    hp = HyperbolicPair(sc.lattice, v)
-    z0 = _zfun(sc, args.get("z0") or "Z0")
-    bound = ov.bound if ov.bound is not None else sc.budgets["box_bound"]
-    result = detect_totally_semistable(hp, z0, bound)
-    results = {"detected": result.detected}
-    if result.detected:
-        results["criterion"] = result.witness.criterion
-        results["witness"] = list(result.witness.witness.coords)
-    else:
-        results["searched_bound"] = result.searched_bound
-    return results, []
+    hp = HyperbolicPair(sc.lattice, _arg(sc, args, "v"))
+    z0 = _named(sc, "stability function", args.get("z0") or "Z0")
+    result = detect_totally_semistable(hp, z0, _box_bound(sc, ov))
+    if not result.detected:
+        return {"detected": False, "searched_bound": result.searched_bound}
+    return {
+        "detected": True,
+        "criterion": result.witness.criterion,
+        "witness": result.witness.witness,
+    }
 
 
 def _verdict_obj(verdict) -> dict:
+    """Wire form of a stratum verdict."""
     if isinstance(verdict, stratum.HasStableDeformation):
-        return {
+        obj = {"kind": verdict.kind, "summands": verdict.summand_indices, "via": verdict.via}
+    elif isinstance(verdict, stratum.TotallySemistableShape):
+        obj = {
             "kind": verdict.kind,
-            "summands": list(verdict.summand_indices),
-            "via": verdict.via,
+            "w": verdict.w,
+            "spheres": verdict.spheres,
+            "leaf": verdict.leaf,
         }
-    if isinstance(verdict, stratum.TotallySemistableShape):
-        return {
-            "kind": verdict.kind,
-            "w": list(verdict.w.coords) if verdict.w is not None else None,
-            "spheres": [list(s.coords) for s in verdict.spheres],
-            "leaf": list(verdict.leaf.coords) if verdict.leaf is not None else None,
-        }
-    if isinstance(verdict, stratum.ProductSplit):
-        return {
-            "kind": verdict.kind,
-            "factors": [_factor_obj(f) for f in verdict.factors],
-        }
-    return {"kind": verdict.kind, "reason": verdict.reason}
+    elif isinstance(verdict, stratum.ProductSplit):
+        obj = {"kind": verdict.kind, "factors": [_factor_obj(f) for f in verdict.factors]}
+    else:
+        obj = {"kind": verdict.kind, "reason": verdict.reason}
+    return to_wire(obj)
 
 
 def _factor_obj(factor) -> dict:
-    return {
-        "kind": factor.kind,
-        "class": list(factor.v.coords),
-        "multiplicity": factor.multiplicity,
-    }
+    return {"kind": factor.kind, "class": factor.v, "multiplicity": factor.multiplicity}
 
 
 def _h_stratum_analyze(sc, args, ov):
@@ -444,15 +405,11 @@ def _h_stratum_product_shape(sc, args, ov):
 
 
 def _h_stratum_simple_bridge(sc, args, ov):
-    budget = ov.budget if ov.budget is not None else sc.budgets["root_budget"]
-    return {
-        "stable_deformation": stratum.stable_deformation_exists(
-            _decomp(sc), budget=budget
-        )
-    }, []
+    exists = stratum.stable_deformation_exists(_decomp(sc), budget=_root_budget(sc, ov))
+    return {"stable_deformation": exists}
 
 
-Handler = Callable[[Scenario, dict, Overrides], tuple[dict, list]]
+Handler = Callable[[Scenario, dict, Overrides], dict | tuple[dict, list]]
 
 # command -> (handler, positional argument names, optional flag names)
 COMMANDS: dict[str, tuple[Handler, tuple[str, ...], tuple[str, ...]]] = {
@@ -512,7 +469,9 @@ def run_command(
             f"command {command!r} is missing arguments: {', '.join(missing)}"
         )
     start = time.perf_counter()
-    results, trace = handler(scenario, args, overrides)
+    out = handler(scenario, args, overrides)
+    results, trace = out if type(out) is tuple else (out, [])
+    results = to_wire(results)
     elapsed = (time.perf_counter() - start) * 1000.0
     shown_args = {k: args[k] for k in sorted(args) if args[k] is not None}
     return Report(

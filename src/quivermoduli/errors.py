@@ -42,6 +42,11 @@ class BudgetExceededError(QuiverModuliError, RuntimeError):
     its result could be certified."""
 
 
+class InternalInvariantError(QuiverModuliError, RuntimeError):
+    """A result failed a check the library makes on its own output, such
+    as the re-verification of a witness; this always means a bug."""
+
+
 class PrimitivityError(QuiverModuliError, ValueError):
     """A sublattice basis is not primitively embedded in the ambient
     lattice (gcd of maximal minors != 1)."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
-from .errors import LatticeMismatchError, PrimitivityError
+from .errors import InternalInvariantError, LatticeMismatchError, PrimitivityError
 
 
 class ClassKind(enum.Enum):
@@ -251,5 +251,6 @@ def _int_det(rows: list[list[int]]) -> int:
             if m[r][col] != 0:
                 c = m[r][col] / m[col][col]
                 m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InternalInvariantError(f"integer matrix with determinant {det}")
     return int(det)

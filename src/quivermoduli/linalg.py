@@ -93,10 +93,6 @@ def is_zero_matrix(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def is_zero_vector(v: Vec) -> bool:
-    return all(x == 0 for x in v)
-
-
 class RowSpace:
     """A subspace of Q^n kept as a reduced row-echelon basis.
 

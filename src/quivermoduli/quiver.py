@@ -11,6 +11,7 @@ representation.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -18,6 +19,7 @@ from .decomposition import PolystableDecomposition
 from .errors import (
     BudgetExceededError,
     HomNonvanishingError,
+    InternalInvariantError,
     LatticeMismatchError,
     MalformedSummandError,
 )
@@ -77,16 +79,6 @@ class ExtQuiver:
     @property
     def num_vertices(self) -> int:
         return len(self.loops)
-
-    def arrow_multiplicity(self, i: int, j: int) -> int:
-        if i == j:
-            return self.loops[i]
-        if i > j:
-            i, j = j, i
-        for a, b, m in self.arrows:
-            if (a, b) == (i, j):
-                return m
-        return 0
 
     def neg_cartan(self) -> tuple[tuple[int, ...], ...]:
         """The symmetric matrix D with D_ii = 2*loops_i - 2 and
@@ -186,7 +178,8 @@ def num_parameters(q: ExtQuiver, n: Iterable[int]) -> int:
     """Half the expected dimension (always an integer: the diagonal of
     the negative Cartan matrix is even)."""
     d = expected_dimension(q, n)
-    assert d % 2 == 0
+    if d % 2:
+        raise InternalInvariantError(f"odd expected dimension {d} at {tuple(n)}")
     return d // 2
 
 
@@ -243,7 +236,7 @@ def simple_rep_exists(
     """Crawley-Boevey's criterion: n must be a positive root and every
     splitting of n into two or more positive roots must strictly drop
     num_parameters.  Splittings are explored exhaustively with a
-    memoized best-splitting table over the box below n."""
+    best-splitting table over the box below n."""
     n = _check_length(q, n)
     if all(x == 0 for x in n):
         raise ValueError("the zero dimension vector has no representations")
@@ -253,28 +246,27 @@ def simple_rep_exists(
     p = {alpha: num_parameters(q, alpha) for alpha in roots}
 
     # best[m] = (max total num_parameters over splittings of m into
-    # one or more positive roots, first part of an optimal splitting)
+    # one or more positive roots, first part of an optimal splitting).
+    # The box is filled in product order, which visits every m - beta
+    # before m; n itself comes last and is handled below.
     best: dict[DimVector, Optional[tuple[int, Optional[DimVector]]]] = {}
-
-    def compute_best(m: DimVector) -> Optional[tuple[int, Optional[DimVector]]]:
-        if m in best:
-            return best[m]
-        if all(x == 0 for x in m):
-            result = (0, None)
-        else:
-            result = None
-            for beta in roots:
-                if any(b > x for b, x in zip(beta, m)):
-                    continue
-                rest = tuple(x - b for x, b in zip(m, beta))
-                sub = compute_best(rest)
-                if sub is None:
-                    continue
-                value = p[beta] + sub[0]
-                if result is None or value > result[0]:
-                    result = (value, beta)
+    cells = itertools.product(*(range(b + 1) for b in n))
+    best[next(cells)] = (0, None)
+    for m in cells:
+        if m == n:
+            break
+        result = None
+        for beta in roots:
+            rest = tuple(map(operator.sub, m, beta))
+            if min(rest) < 0:
+                continue
+            sub = best[rest]
+            if sub is None:
+                continue
+            value = p[beta] + sub[0]
+            if result is None or value > result[0]:
+                result = (value, beta)
         best[m] = result
-        return result
 
     # Splittings with at least two parts: peel off one proper part.
     champion: Optional[tuple[int, DimVector]] = None
@@ -284,7 +276,7 @@ def simple_rep_exists(
         rest = tuple(x - b for x, b in zip(n, beta))
         if all(x == 0 for x in rest):
             continue
-        sub = compute_best(rest)
+        sub = best[rest]
         if sub is None:
             continue
         value = p[beta] + sub[0]
@@ -319,5 +311,6 @@ def pairwise_merge_check(v_i, v_j) -> bool:
     lhs = square(v_i + v_j) + 2
     rhs = (square(v_i) + 2) + (square(v_j) + 2)
     result = lhs > rhs
-    assert result == (pairing(v_i, v_j) >= 2)
+    if result != (pairing(v_i, v_j) >= 2):
+        raise InternalInvariantError("merge inequality disagrees with <v_i, v_j> >= 2")
     return result

@@ -21,7 +21,13 @@ from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .errors import BudgetExceededError, LatticeMismatchError, ShapeMismatchError
+from .errors import (
+    BudgetExceededError,
+    DegenerateValueError,
+    InternalInvariantError,
+    LatticeMismatchError,
+    ShapeMismatchError,
+)
 from .linalg import Mat, RowSpace, Vec
 from .quiver import Arrow, DimVector, ExtQuiver
 
@@ -392,6 +398,16 @@ def _all_seeds(rep, limits) -> Iterator[tuple[str, list[tuple[int, Vec]]]]:
     yield from _prng_seeds(rep, limits)
 
 
+def _vanishing_character(rep: DoubleQuiverRep, theta: Sequence) -> tuple[Fraction, ...]:
+    """theta as rationals, checked to vanish on the dimension vector."""
+    if rep.total_dim == 0:
+        raise DegenerateValueError("the zero representation has no subrepresentations to search")
+    theta = tuple(Fraction(t) for t in theta)
+    if theta_slope(theta, rep.n) != 0:
+        raise LatticeMismatchError("character must vanish on the dimension vector")
+    return theta
+
+
 def destabilizer_search(
     rep: DoubleQuiverRep,
     theta: Sequence,
@@ -403,9 +419,7 @@ def destabilizer_search(
     it is handed back.  A ``found=False`` result certifies only that no
     closure of any tried seed has positive slope.
     """
-    theta = tuple(Fraction(t) for t in theta)
-    if theta_slope(theta, rep.n) != 0:
-        raise LatticeMismatchError("character must vanish on the dimension vector")
+    theta = _vanishing_character(rep, theta)
     meter = _BudgetMeter(limits.budget)
     counts: dict[str, int] = {}
     for category, seeds in _all_seeds(rep, limits):
@@ -417,7 +431,8 @@ def destabilizer_search(
         if theta_slope(theta, m) > 0:
             witness = _witness_from_spaces(spaces)
             check = verify_subrep(rep, witness)
-            assert check.valid and theta_slope(theta, check.dims) > 0
+            if not (check.valid and theta_slope(theta, check.dims) > 0):
+                raise InternalInvariantError("destabilizing witness failed re-verification")
             return DestabilizerResult(
                 True, witness=witness, slope=theta_slope(theta, m)
             )
@@ -448,9 +463,7 @@ def jordan_holder_search(
     closure found among all seeds.  When the budget dies first, returns
     an honest Incomplete instead of a partial claim.
     """
-    theta = tuple(Fraction(t) for t in theta)
-    if theta_slope(theta, rep.n) != 0:
-        raise LatticeMismatchError("character must vanish on the dimension vector")
+    theta = _vanishing_character(rep, theta)
     if limits.budget <= 0:
         return FiltrationResult(False, reason="zero search budget")
     meter = _BudgetMeter(limits.budget)
@@ -481,7 +494,8 @@ def jordan_holder_search(
             current = best
             witness = _witness_from_spaces(current)
             check = verify_subrep(rep, witness)
-            assert check.valid
+            if not check.valid:
+                raise InternalInvariantError("filtration step failed re-verification")
             steps.append(witness)
             dims.append(check.dims)
     except BudgetExceededError:

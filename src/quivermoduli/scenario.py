@@ -3,8 +3,10 @@ an optional decomposition, stability functions, characters, filtrations
 and representations, plus search budgets.
 
 Everything on the wire is exact: rationals are "p/q" strings, Gaussian
-rationals are {"re": "p/q", "im": "p/q"} objects.  Scenarios have a
-canonical serialized form whose SHA-256 digest keys reports.
+rationals are {"re": "p/q", "im": "p/q"} objects and lattice vectors are
+coordinate lists.  ``to_wire`` is the one encoder for that format, used
+for scenarios and CLI results alike.  Scenarios have a canonical
+serialized form whose SHA-256 digest keys reports.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -32,12 +35,47 @@ DEFAULT_BUDGETS = {
 }
 
 
-def frac_to_str(x) -> str:
-    return str(Fraction(x))
+def to_wire(obj):
+    """JSON-ready copy of ``obj``: Fraction -> "p/q", GaussianRational ->
+    {"re", "im"}, LatticeVector -> coordinate list, Enum -> its value,
+    tuples and lists -> lists and dicts -> dicts, recursively; anything
+    else is returned unchanged."""
+    return _wire(obj)
 
 
-def gauss_to_obj(z: GaussianRational) -> dict:
-    return {"re": frac_to_str(z.re), "im": frac_to_str(z.im)}
+# Leaves that are already JSON; containers pass them through without a
+# call, which keeps digests of integer-heavy scenarios cheap.
+_PLAIN = frozenset({int, str, bool, float, type(None)})
+
+
+def _wire(obj):
+    # Exact type tests, most frequent first: this runs on every result
+    # and every scenario digest.
+    kind = type(obj)
+    if kind is tuple or kind is list:
+        return [x if type(x) in _PLAIN else _wire(x) for x in obj]
+    if kind is Fraction:
+        return str(obj)
+    if kind is dict:
+        return {k: v if type(v) in _PLAIN else _wire(v) for k, v in obj.items()}
+    if kind is LatticeVector:
+        return list(obj.coords)
+    if kind is GaussianRational:
+        return {"re": str(obj.re), "im": str(obj.im)}
+    if isinstance(obj, Enum):
+        return obj.value
+    return obj
+
+
+def _parse_int(raw, path: str, violations: list) -> int:
+    try:
+        value = int(raw)
+    except (ValueError, TypeError, OverflowError):
+        value = None
+    if value is None or (isinstance(raw, float) and value != raw):
+        violations.append((path, f"not an integer: {raw!r}"))
+        return 0
+    return value
 
 
 def _parse_frac(raw, path: str, violations: list) -> Fraction:
@@ -88,14 +126,9 @@ class Scenario:
 
     def canonical(self) -> dict:
         doc: dict = {
-            "lattice": {
-                "gram": [list(row) for row in self.lattice.gram],
-                "even": self.lattice.even,
-            },
-            "vectors": {
-                name: list(v.coords) for name, v in sorted(self.vectors.items())
-            },
-            "budgets": {k: self.budgets[k] for k in sorted(self.budgets)},
+            "lattice": {"gram": self.lattice.gram, "even": self.lattice.even},
+            "vectors": self.vectors,
+            "budgets": self.budgets,
         }
         if self.decomposition is not None:
             doc["decomposition"] = [
@@ -103,35 +136,22 @@ class Scenario:
                 for v, n in self.decomposition.summands
             ]
         if self.stability:
-            doc["stability"] = {
-                name: [gauss_to_obj(z) for z in fn.values]
-                for name, fn in sorted(self.stability.items())
-            }
+            doc["stability"] = {name: fn.values for name, fn in self.stability.items()}
         if self.characters:
-            doc["characters"] = {
-                name: [frac_to_str(t) for t in theta]
-                for name, theta in sorted(self.characters.items())
-            }
+            doc["characters"] = self.characters
         if self.filtrations:
             doc["filtrations"] = {
                 name: [{"weight": w, "class": v} for w, v in steps]
-                for name, steps in sorted(self.filtrations.items())
+                for name, steps in self.filtrations.items()
             }
         if self.quiver is not None:
-            doc["quiver"] = {
-                "loops": list(self.quiver.loops),
-                "arrows": [list(a) for a in self.quiver.arrows],
-            }
+            doc["quiver"] = {"loops": self.quiver.loops, "arrows": self.quiver.arrows}
         if self.representations:
             doc["representations"] = {
-                name: {
-                    "n": list(rep.n),
-                    "x": [[[frac_to_str(x) for x in row] for row in m] for m in rep.x_maps],
-                    "y": [[[frac_to_str(x) for x in row] for row in m] for m in rep.y_maps],
-                }
-                for name, rep in sorted(self.representations.items())
+                name: {"n": rep.n, "x": rep.x_maps, "y": rep.y_maps}
+                for name, rep in self.representations.items()
             }
-        return doc
+        return to_wire(doc)
 
     def _vector_name(self, v: LatticeVector) -> str:
         for name, vec in self.vectors.items():
@@ -144,6 +164,18 @@ class Scenario:
             self.canonical(), sort_keys=True, separators=(",", ":")
         ).encode()
         return "sha256:" + hashlib.sha256(payload).hexdigest()
+
+
+def _section(doc: dict, key: str, entries: str, violations: list) -> dict:
+    """The name -> entry object at ``$.key``; absent means empty, and any
+    other JSON type is a violation."""
+    section = doc.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        violations.append((f"$.{key}", f"must be an object of name -> {entries}"))
+        return {}
+    return section
 
 
 def load_scenario(source: Union[str, Path, dict]) -> Scenario:
@@ -176,15 +208,11 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             tuple(tuple(row) for row in lat_doc["gram"]),
             even=bool(lat_doc.get("even", False)),
         )
-    except (QuiverModuliError, TypeError) as exc:
+    except (QuiverModuliError, TypeError, ValueError) as exc:
         raise ScenarioError([("$.lattice.gram", str(exc))])
 
     vectors: dict[str, LatticeVector] = {}
-    vec_doc = doc.get("vectors", {})
-    if not isinstance(vec_doc, dict):
-        violations.append(("$.vectors", "must be an object of name -> coords"))
-        vec_doc = {}
-    for name, coords in vec_doc.items():
+    for name, coords in _section(doc, "vectors", "coords", violations).items():
         if name in vectors:
             violations.append((f"$.vectors.{name}", "duplicate vector name"))
             continue
@@ -195,7 +223,9 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     decomposition = None
     dec_doc = doc.get("decomposition")
-    if dec_doc is not None:
+    if dec_doc is not None and not isinstance(dec_doc, list):
+        violations.append(("$.decomposition", "expected a list of {vector, multiplicity}"))
+    elif dec_doc is not None:
         summands = []
         for k, entry in enumerate(dec_doc):
             path = f"$.decomposition[{k}]"
@@ -206,7 +236,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             if name not in vectors:
                 violations.append((f"{path}.vector", f"unknown vector {name!r}"))
                 continue
-            summands.append((vectors[name], int(entry.get("multiplicity", 1))))
+            mult = _parse_int(entry.get("multiplicity", 1), f"{path}.multiplicity", violations)
+            summands.append((vectors[name], mult))
         if summands and not violations:
             try:
                 decomposition = PolystableDecomposition.of(summands)
@@ -214,7 +245,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                 violations.append(("$.decomposition", str(exc)))
 
     stability: dict[str, StabilityFunction] = {}
-    for name, values in (doc.get("stability") or {}).items():
+    for name, values in _section(doc, "stability", "basis values", violations).items():
         path = f"$.stability.{name}"
         if not isinstance(values, list) or len(values) != lattice.rank:
             violations.append(
@@ -227,7 +258,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         stability[name] = StabilityFunction(lattice, parsed)
 
     characters: dict[str, tuple[Fraction, ...]] = {}
-    for name, values in (doc.get("characters") or {}).items():
+    for name, values in _section(doc, "characters", "rationals", violations).items():
         path = f"$.characters.{name}"
         if not isinstance(values, list):
             violations.append((path, "expected a list of rationals"))
@@ -237,7 +268,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         )
 
     filtrations: dict[str, tuple[tuple[int, str], ...]] = {}
-    for name, steps in (doc.get("filtrations") or {}).items():
+    for name, steps in _section(doc, "filtrations", "steps", violations).items():
         path = f"$.filtrations.{name}"
         if not isinstance(steps, list):
             violations.append((path, "expected a list of {weight, vector}"))
@@ -252,12 +283,15 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                     (f"{path}[{k}].class", f"unknown vector {step['class']!r}")
                 )
                 continue
-            parsed_steps.append((int(step["weight"]), step["class"]))
+            weight = _parse_int(step["weight"], f"{path}[{k}].weight", violations)
+            parsed_steps.append((weight, step["class"]))
         filtrations[name] = tuple(parsed_steps)
 
     quiver = None
     q_doc = doc.get("quiver")
-    if q_doc is not None:
+    if q_doc is not None and not isinstance(q_doc, dict):
+        violations.append(("$.quiver", "expected {loops, arrows}"))
+    elif q_doc is not None:
         try:
             quiver = ExtQuiver(
                 tuple(q_doc.get("loops", ())),
@@ -267,14 +301,11 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             violations.append(("$.quiver", str(exc)))
 
     budgets = dict(DEFAULT_BUDGETS)
-    for key, value in (doc.get("budgets") or {}).items():
+    for key, value in _section(doc, "budgets", "integer", violations).items():
         if key not in DEFAULT_BUDGETS:
             violations.append((f"$.budgets.{key}", "unknown budget key"))
             continue
-        try:
-            budgets[key] = int(value)
-        except (TypeError, ValueError):
-            violations.append((f"$.budgets.{key}", f"not an integer: {value!r}"))
+        budgets[key] = _parse_int(value, f"$.budgets.{key}", violations)
 
     scenario = Scenario(
         lattice=lattice,
@@ -287,7 +318,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         budgets=budgets,
     )
 
-    for name, rep_doc in (doc.get("representations") or {}).items():
+    for name, rep_doc in _section(doc, "representations", "{n, x, y}", violations).items():
         path = f"$.representations.{name}"
         try:
             q = scenario.effective_quiver()

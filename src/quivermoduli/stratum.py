@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .decomposition import PolystableDecomposition
-from .errors import LatticeMismatchError, NormalizationError
+from .errors import InternalInvariantError, LatticeMismatchError, NormalizationError
 from .lattice import (
     GramLattice,
     LatticeVector,
@@ -181,9 +181,6 @@ class StratumReport:
     verdict: Verdict
     trace: tuple[dict, ...]
 
-    def verdict_kind(self) -> str:
-        return self.verdict.kind
-
 
 def _trace(step: str, outcome: str, **detail) -> dict:
     entry = {"step": step, "outcome": outcome}
@@ -241,9 +238,8 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
 
     # (3) pairing range: after the merge test all distinct pairings are
     # 0 or 1; the lower bound is a decomposition invariant.
-    assert all(
-        0 <= pair[i][j] <= 1 for i in range(s) for j in range(i + 1, s)
-    )
+    if not all(0 <= pair[i][j] <= 1 for i in range(s) for j in range(i + 1, s)):
+        raise InternalInvariantError("a pairing outside [0, 1] survived the merge test")
     trace.append(_trace("pairing-range", "passed"))
 
     # (4) isotropic isolation: an isotropic summand pairing to 1 forces
@@ -381,7 +377,10 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
         )
     leaf_pairing = pairing(total, classes[leaf])
     trace.append(_trace("leaf", "found", leaf=leaf, pairing_with_total=leaf_pairing))
-    assert leaf_pairing == -1
+    if leaf_pairing != -1:
+        raise InternalInvariantError(
+            f"spherical leaf pairs to {leaf_pairing} with the total class, not -1"
+        )
     return StratumReport(
         TotallySemistableShape(w, sphere_classes, leaf=classes[leaf]), tuple(trace)
     )

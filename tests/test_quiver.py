@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -155,6 +156,14 @@ class TestSimpleRepExists:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             simple_rep_exists(AFFINE_A1, (0, 0))
+
+    def test_box_deeper_than_the_recursion_limit(self):
+        # One loop: every alpha is a root with one parameter, so the
+        # splitting into n copies of (1,) wins and no simple rep exists.
+        n = sys.getrecursionlimit() + 1
+        verdict = simple_rep_exists(ExtQuiver((1,), ()), (n,))
+        assert not verdict.exists
+        assert verdict.violating_parts == ((1,),) * n
 
     def test_monotone_under_adding_arrows(self):
         # Adding an arrow never flips an existence verdict to No.

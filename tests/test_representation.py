@@ -19,9 +19,11 @@ from quivermoduli import (
     theta_slope,
     verify_subrep,
 )
-from quivermoduli import linalg
+from quivermoduli import linalg, representation
 from quivermoduli.errors import (
     BudgetExceededError,
+    DegenerateValueError,
+    InternalInvariantError,
     LatticeMismatchError,
     ShapeMismatchError,
 )
@@ -256,6 +258,22 @@ class TestDestabilizerSearch:
         rep = DoubleQuiverRep.zero(AFFINE_A1, (1, 1))
         with pytest.raises(LatticeMismatchError):
             destabilizer_search(rep, (1, 1))
+
+    @pytest.mark.parametrize("search", [destabilizer_search, jordan_holder_search])
+    def test_zero_dimension_vector_is_a_domain_error(self, search):
+        with pytest.raises(DegenerateValueError):
+            search(DoubleQuiverRep.zero(AFFINE_A1, (0, 0)), (0, 0))
+
+    @pytest.mark.parametrize("search,theta", [
+        (destabilizer_search, (1, -1)),
+        (jordan_holder_search, (0, 0)),
+    ])
+    def test_failed_reverification_raises(self, monkeypatch, search, theta):
+        # Independent of python -O: the check is not an assert.
+        monkeypatch.setattr(representation, "verify_subrep",
+                            lambda rep, witness: representation.SubrepCheck(False))
+        with pytest.raises(InternalInvariantError):
+            search(DoubleQuiverRep.zero(AFFINE_A1, (1, 1)), theta)
 
     def test_budget_error_is_distinct(self):
         rep = DoubleQuiverRep(

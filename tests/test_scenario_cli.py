@@ -84,6 +84,40 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError):
             load_scenario({"lattice": {"gram": [[0, 1], [2, 0]]}, "vectors": {}})
 
+    @pytest.mark.parametrize("section,value", [
+        ("vectors", [[1, 0]]),
+        ("stability", [{"re": "0", "im": "1"}]),
+        ("characters", [["1", "-1"]]),
+        ("filtrations", [{"weight": 1, "class": "s"}]),
+        ("representations", [{"n": [1, 1]}]),
+        ("budgets", [6]),
+        ("decomposition", 5),
+        ("quiver", 5),
+    ])
+    def test_section_type_is_a_violation(self, section, value):
+        doc = base_doc()
+        doc[section] = value
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert f"$.{section}" in [path for path, _ in err.value.violations]
+
+    @pytest.mark.parametrize("field,path,value", [
+        (("decomposition", 0, "multiplicity"), "$.decomposition[0].multiplicity", "x"),
+        (("decomposition", 0, "multiplicity"), "$.decomposition[0].multiplicity", 1.5),
+        (("filtrations", "F", 0, "weight"), "$.filtrations.F[0].weight", "x"),
+        (("budgets", "box_bound"), "$.budgets.box_bound", 2.5),
+    ])
+    def test_non_integer_is_a_violation(self, field, path, value):
+        doc = base_doc()
+        *parents, key = field
+        entry = doc
+        for part in parents:
+            entry = entry[part]
+        entry[key] = value
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert (path, f"not an integer: {value!r}") in err.value.violations
+
     def test_budget_keys_validated(self):
         doc = base_doc()
         doc["budgets"]["bogus"] = 1
@@ -218,6 +252,29 @@ class TestMainEntry:
         path.write_text(json.dumps({"lattice": {"gram": [[0, 1], [2, 0]]}}))
         rc = main(["--scenario", str(path), "lattice", "signature"])
         assert rc == 2
+
+    def test_section_type_exit_two(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["stability"] = [{"re": "0", "im": "1"}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["--scenario", str(path), "lattice", "signature"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "schema",
+            "violations": [["$.stability", "must be an object of name -> basis values"]],
+        }
+
+    @pytest.mark.parametrize("action", ["destabilize", "jh"])
+    def test_zero_dimension_search_exit_one(self, tmp_path, capsys, action):
+        doc = base_doc()
+        doc["representations"]["R"] = {"n": [0, 0], "x": [[]] * 3, "y": [[]] * 3}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["--scenario", str(path), "rep", action, "R", "theta"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "domain"
 
     def test_usage_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "s.json"

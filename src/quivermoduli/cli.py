@@ -484,8 +484,21 @@ def run_command(
     )
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a malformed argument list instead of printing usage
+    text and exiting, so ``main`` can answer with one JSON line.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quivermoduli",
         description="Exact lattice / quiver / wall computations over scenario files",
     )
@@ -520,7 +533,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
     command = f"{ns.group} {ns.action}"
     handler, positionals, flags = COMMANDS[command]

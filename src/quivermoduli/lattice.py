@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
 from .errors import InternalInvariantError, LatticeMismatchError, PrimitivityError
@@ -101,19 +102,21 @@ class LatticeVector:
 
 
 def _same_lattice(a: LatticeVector, b: LatticeVector) -> None:
-    if a.lattice != b.lattice:
+    if a.lattice is not b.lattice and a.lattice != b.lattice:
         raise LatticeMismatchError("vectors belong to different lattices")
+
+
+def _form(
+    gram: tuple[tuple[int, ...], ...], a: tuple[int, ...], b: tuple[int, ...]
+) -> int:
+    """The bilinear form on raw coordinate tuples: transpose(a) . gram . b."""
+    return sum(map(mul, a, [sum(map(mul, row, b)) for row in gram]))
 
 
 def pairing(a: LatticeVector, b: LatticeVector) -> int:
     """Evaluate the bilinear form: transpose(a) . gram . b."""
     _same_lattice(a, b)
-    gram = a.lattice.gram
-    return sum(
-        a.coords[i] * gram[i][j] * b.coords[j]
-        for i in range(len(a.coords))
-        for j in range(len(b.coords))
-    )
+    return _form(a.lattice.gram, a.coords, b.coords)
 
 
 def square(v: LatticeVector) -> int:
@@ -182,12 +185,27 @@ def iter_box(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
 
     Deterministic order: shells of growing sup-norm, each shell in
     descending lexicographic order, so small "positive" witnesses such
-    as (1, 0) or (1, 1) come out first.
+    as (1, 0) or (1, 1) come out first.  Each shell is generated
+    directly, never filtered out of its cube.
     """
     for radius in range(1, bound + 1):
-        for cand in itertools.product(range(radius, -radius - 1, -1), repeat=rank):
-            if max(abs(c) for c in cand) == radius:
-                yield cand
+        yield from _shell(rank, radius)
+
+
+def _shell(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of sup-norm exactly ``radius``, in descending lex order:
+    a first coordinate of +-radius leaves the rest free, any other
+    first coordinate needs the rest on the rank - 1 shell."""
+    if rank < 1:
+        return
+    side = range(radius, -radius - 1, -1)
+    rest = tuple(_shell(rank - 1, radius))
+    for first in side:
+        if first == radius or first == -radius:
+            yield from itertools.product((first,), *[side] * (rank - 1))
+        else:
+            for tail in rest:
+                yield (first,) + tail
 
 
 def find_isotropic(lat: GramLattice, bound: int) -> Optional[LatticeVector]:
@@ -198,10 +216,10 @@ def find_isotropic(lat: GramLattice, bound: int) -> Optional[LatticeVector]:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    gram = lat.gram
     for cand in iter_box(lat.rank, bound):
-        v = lat.vector(cand)
-        if square(v) == 0:
-            return v
+        if _form(gram, cand, cand) == 0:
+            return lat.vector(cand)
     return None
 
 

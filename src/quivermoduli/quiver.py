@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .decomposition import PolystableDecomposition
@@ -83,6 +84,17 @@ class ExtQuiver:
     def neg_cartan(self) -> tuple[tuple[int, ...], ...]:
         """The symmetric matrix D with D_ii = 2*loops_i - 2 and
         D_ij the arrow multiplicity; diagonal entries are even."""
+        return self._neg_cartan
+
+    def arrow_list(self) -> tuple[Arrow, ...]:
+        return self._arrow_list
+
+    # Both are fixed by the frozen fields, so each is built once per
+    # quiver; the caches live outside the fields, which alone make up
+    # __eq__, __hash__ and __repr__.
+
+    @cached_property
+    def _neg_cartan(self) -> tuple[tuple[int, ...], ...]:
         s = self.num_vertices
         d = [[0] * s for _ in range(s)]
         for i in range(s):
@@ -92,7 +104,8 @@ class ExtQuiver:
             d[j][i] = m
         return tuple(tuple(row) for row in d)
 
-    def arrow_list(self) -> tuple[Arrow, ...]:
+    @cached_property
+    def _arrow_list(self) -> tuple[Arrow, ...]:
         out = []
         for i, g in enumerate(self.loops):
             for k in range(g):

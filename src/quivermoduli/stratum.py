@@ -28,7 +28,7 @@ from .lattice import (
     square,
 )
 from .quiver import DEFAULT_ROOT_BUDGET, build_ext_quiver, simple_rep_exists
-from .stability import StabilityFunction
+from .stability import GaussianRational, StabilityFunction
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,12 @@ def default_effectivity(
     effective when Re(Z0(s)/Z0(v)) > 0.  Overridable because the
     bookkeeping of effective classes is a convention of the ambient
     geometry, not of the lattice."""
-    z0_v = z0(v)
+    return _effective_against(z0, z0(v))
 
+
+def _effective_against(
+    z0: StabilityFunction, z0_v: GaussianRational
+) -> EffectivityPredicate:
     def effective(s: LatticeVector) -> bool:
         return (z0(s) / z0_v).re > 0
 
@@ -103,8 +107,11 @@ def detect_totally_semistable(
     """Box search for a witness that the wall is totally semistable.
 
     Criterion A: an isotropic w with <v, w> = 1.  Criterion B: an
-    effective spherical s with <v, s> < 0.  The box is scanned fully
-    for A before B; a negative answer certifies only the box.
+    effective spherical s with <v, s> < 0.  One scan of the box tests A
+    on raw integers and collects the spherical candidates with
+    <v, s> < 0 in box order; only once A is ruled out over the whole box
+    is ``effectivity`` consulted, on those candidates in order, up to
+    the first it accepts.  A negative answer certifies only the box.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -114,14 +121,22 @@ def detect_totally_semistable(
             f"reference value Z0(v) = {z0_v!r}; expected a positive multiple of i"
         )
     if effectivity is None:
-        effectivity = default_effectivity(z0, hp.v)
-    for coords in iter_box(2, bound):
-        w = hp.lattice.vector(coords)
-        if square(w) == 0 and pairing(hp.v, w) == 1:
-            return TssSearch(True, TssWitness("isotropic-pairing-one", w))
-    for coords in iter_box(2, bound):
+        effectivity = _effective_against(z0, z0_v)
+    (a, b), (_, d) = hp.lattice.gram
+    vx, vy = hp.v.coords
+    v0, v1 = vx * a + vy * b, vx * b + vy * d  # the row v . G: <v, (x, y)> = v0 x + v1 y
+    spherical = []
+    for x, y in iter_box(2, bound):
+        q = a * x * x + 2 * b * x * y + d * y * y
+        if q == 0:
+            if v0 * x + v1 * y == 1:
+                w = hp.lattice.vector((x, y))
+                return TssSearch(True, TssWitness("isotropic-pairing-one", w))
+        elif q == -2 and v0 * x + v1 * y < 0:
+            spherical.append((x, y))
+    for coords in spherical:
         s = hp.lattice.vector(coords)
-        if square(s) == -2 and pairing(hp.v, s) < 0 and effectivity(s):
+        if effectivity(s):
             return TssSearch(True, TssWitness("effective-spherical", s))
     return TssSearch(False, searched_bound=bound)
 

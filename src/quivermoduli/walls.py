@@ -146,7 +146,10 @@ def degree_of_class(
     coeffs: Sequence[int],
 ) -> Fraction:
     """Degree of the combination sum(a_i v_i), extended linearly."""
-    degrees = degree_vector(z, z0_of_total, decomp)
+    return _degree(coeffs, degree_vector(z, z0_of_total, decomp))
+
+
+def _degree(coeffs: Sequence[int], degrees: Sequence[Fraction]) -> Fraction:
     return sum((int(a) * d for a, d in zip(coeffs, degrees)), Fraction(0))
 
 
@@ -158,8 +161,7 @@ def on_slice(
     """Whether the degree of the total class vanishes, i.e. the degree
     vector is a legal character for the multiplicity vector."""
     degrees = degree_vector(z, z0_of_total, decomp)
-    n = decomp.multiplicities
-    return sum((x * d for x, d in zip(n, degrees)), Fraction(0)) == 0
+    return _degree(decomp.multiplicities, degrees) == 0
 
 
 def to_character(
@@ -172,13 +174,15 @@ def to_character(
     With Z0(v) = i the coordinates are -Re Z(v_i), matching the
     determinant-character exponents.
     """
-    if not on_slice(z, z0_of_total, decomp):
+    return _character(degree_vector(z, z0_of_total, decomp), decomp)
+
+
+def _character(degrees: tuple[Fraction, ...], decomp: PolystableDecomposition) -> CharacterPoint:
+    if _degree(decomp.multiplicities, degrees) != 0:
         raise LatticeMismatchError(
             "stability function is off the slice: total degree is nonzero"
         )
-    return CharacterPoint(
-        degree_vector(z, z0_of_total, decomp), decomp.multiplicities
-    )
+    return CharacterPoint(degrees, decomp.multiplicities)
 
 
 def wall_class(decomp: PolystableDecomposition, alpha: Sequence[int]) -> LatticeVector:
@@ -198,8 +202,9 @@ def wall_correspondence_holds(
     means a bug."""
     alpha = tuple(int(a) for a in alpha)
     for z in samples:
-        lhs = degree_of_class(z, z0_of_total, decomp, alpha) == 0
-        theta = to_character(z, z0_of_total, decomp)
+        degrees = degree_vector(z, z0_of_total, decomp)
+        theta = _character(degrees, decomp)
+        lhs = _degree(alpha, degrees) == 0
         rhs = theta.dot(alpha) == 0
         if lhs != rhs:
             return False

@@ -76,6 +76,23 @@ class TestBuildExtQuiver:
             )
 
 
+class TestExtQuiverCaches:
+    def test_built_once_per_quiver(self):
+        q = ExtQuiver((1, 0), ((0, 1, 2),))
+        assert q.arrow_list() is q.arrow_list()
+        assert q.neg_cartan() is q.neg_cartan()
+        assert q.neg_cartan() == ((0, 2), (2, -2))
+        assert [(a.source, a.target, a.copy) for a in q.arrow_list()] == [
+            (0, 0, 0), (0, 1, 0), (0, 1, 1),
+        ]
+
+    def test_identity_is_the_fields_alone(self):
+        used, fresh = ExtQuiver((1, 0), ((0, 1, 2),)), ExtQuiver((1, 0), ((0, 1, 2),))
+        used.arrow_list(), used.neg_cartan()
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "ExtQuiver(loops=(1, 0), arrows=((0, 1, 2),))"
+
+
 class TestQuadraticForm:
     def test_affine_a1(self):
         assert quadratic_form(AFFINE_A1, (1, 1)) == 0

@@ -282,6 +282,41 @@ class TestMainEntry:
         rc = main(["--scenario", str(path), "lattice", "square", "nope"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["lattice", "frobnicate"], "quivermoduli lattice: argument action: invalid choice: 'frobnicate'"),
+        (["lattice"], "quivermoduli lattice: the following arguments are required: action"),
+        (["lattice", "pair", "w"], "quivermoduli lattice pair: the following arguments are required: b"),
+        (["--bound", "x", "lattice", "signature"], "quivermoduli: argument --bound: invalid int value: 'x'"),
+        (["lattice", "signature", "extra"], "quivermoduli: unrecognized arguments: extra"),
+    ], ids=["unknown-action", "missing-action", "missing-positional", "bad-int", "extra"])
+    def test_argparse_failure_is_one_json_line(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(base_doc()))
+        rc = main(["--scenario", str(path)] + argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "usage" and err["message"].startswith(message)
+
+    def test_argparse_failure_in_subprocess(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(base_doc()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivermoduli",
+             "--scenario", str(path), "lattice", "frobnicate"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: quivermoduli")
+
     def test_malformed_inline_args_exit_two(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(base_doc()))

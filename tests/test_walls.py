@@ -255,6 +255,29 @@ class TestWallCorrespondence:
         for alpha in ((1, 0), (0, 1), (1, 1)):
             assert wall_correspondence_holds(alpha, samples, Z0_V, DEC)
 
+    def test_zero_reference_raises_before_off_slice(self):
+        off_slice = StabilityFunction(HYP, (G.of(1, 1), G.of(1, 1)))
+        with pytest.raises(DegenerateValueError):
+            wall_correspondence_holds((1, 0), [off_slice], G.of(0, 0), DEC)
+
+    def test_off_slice_sample_rejected(self):
+        samples = [on_slice_function(Q(1)), StabilityFunction(HYP, (G.of(1, 1), G.of(1, 1)))]
+        with pytest.raises(LatticeMismatchError):
+            wall_correspondence_holds((1, 0), samples, Z0_V, DEC)
+
+    def test_one_degree_vector_per_sample(self, monkeypatch):
+        evaluations = []
+        original = StabilityFunction.__call__
+
+        def counting(self, v):
+            evaluations.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(StabilityFunction, "__call__", counting)
+        samples = [on_slice_function(Q(k, 3)) for k in range(-4, 5)]
+        assert wall_correspondence_holds((1, 0), samples, Z0_V, DEC)
+        assert len(evaluations) == len(samples) * DEC.size
+
     def test_wall_class_combination(self):
         assert wall_class(DEC, (1, 1)).coords == (1, 1)
         assert wall_class(DEC, (2, 0)).coords == (2, 0)

@@ -1,13 +1,16 @@
 """Exact rational linear algebra on tuple-based matrices.
 
 Matrices are immutable tuples of row tuples with ``Fraction`` entries.
-Everything here is exact; nothing ever touches floating point.
+``RowSpace`` computes on integers and hands back rationals.  Everything
+here is exact; nothing ever touches floating point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeMismatchError
 
@@ -30,12 +33,6 @@ def zeros(nrows: int, ncols: int) -> Mat:
     return tuple((Fraction(0),) * ncols for _ in range(nrows))
 
 
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def shape(a: Mat) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -50,11 +47,6 @@ def sub(a: Mat, b: Mat) -> Mat:
     if shape(a) != shape(b):
         raise ShapeMismatchError(f"cannot subtract {shape(a)} and {shape(b)}")
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale(c, a: Mat) -> Mat:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -93,17 +85,33 @@ def is_zero_matrix(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-class RowSpace:
-    """A subspace of Q^n kept as a reduced row-echelon basis.
+def _cleared(entries: Iterable) -> tuple[int, ...]:
+    """Rational entries times the lcm of their denominators: a positive
+    multiple of the vector in Z^n."""
+    entries = [Fraction(x) for x in entries]
+    den = lcm(*(x.denominator for x in entries))
+    return tuple(x.numerator * (den // x.denominator) for x in entries)
 
-    Supports incremental growth: ``add`` reduces the incoming vector
-    against the current basis and absorbs any nonzero residual.
+
+class RowSpace:
+    """A subspace of Q^n kept as primitive integer echelon rows.
+
+    The rows are fully reduced: each row's pivot entry is positive, its
+    entries have gcd 1, and every other row is zero in its pivot column.
+    ``add`` eliminates fraction-free (Bareiss-style cross
+    multiplication by the cofactors of the two pivot entries) and
+    divides the gcd out of every row it stores or rewrites, so no
+    ``Fraction`` is built until ``basis`` divides each row by its pivot
+    to give the reduced row-echelon basis over Q.
     """
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence] = ()):
         self.ambient_dim = ambient_dim
-        self._rows: list[list[Fraction]] = []  # sorted by pivot column
+        # Sorted by pivot column.  A row is replaced, never edited in
+        # place, so copies can share rows.
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
+        self._basis: Optional[Mat] = None
         for row in rows:
             self.add(row)
 
@@ -111,79 +119,71 @@ class RowSpace:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Sequence) -> list[Fraction]:
+    def _integral(self, v: Sequence) -> tuple[int, ...]:
         if len(v) != self.ambient_dim:
             raise ShapeMismatchError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        w = [Fraction(x) for x in v]
+        return _cleared(v)
+
+    def _reduce(self, w: Sequence[int]) -> Sequence[int]:
+        """A positive multiple of ``w`` minus its part in the span; it
+        vanishes on every pivot column."""
         for row, piv in zip(self._rows, self._pivots):
-            if w[piv] != 0:
-                c = w[piv]
-                for j in range(piv, self.ambient_dim):
-                    w[j] -= c * row[j]
+            c = w[piv]
+            if c:
+                d = row[piv]
+                g = gcd(c, d)
+                w = [d // g * a - c // g * b for a, b in zip(w, row)]
         return w
 
     def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not any(self._reduce(self._integral(v)))
 
     def add(self, v: Sequence) -> bool:
         """Absorb ``v``; return True when the dimension grew."""
-        w = self._reduce(v)
-        piv = next((j for j, x in enumerate(w) if x != 0), None)
-        if piv is None:
+        return self._absorb(self._integral(v))
+
+    def _absorb(self, w: Sequence[int]) -> bool:
+        """``add`` for an integer vector of the right length."""
+        w = self._reduce(w)
+        for piv, x in enumerate(w):
+            if x:
+                break
+        else:
             return False
-        lead = w[piv]
-        w = [x / lead for x in w]
-        # Back-substitute into the existing rows to stay fully reduced.
-        for row in self._rows:
+        g = gcd(*w)
+        if w[piv] < 0:
+            g = -g
+        w = [a // g for a in w]
+        # Clear the new pivot column from the existing rows to stay
+        # fully reduced; their own pivots keep their sign.
+        for k, row in enumerate(self._rows):
             c = row[piv]
-            if c != 0:
-                for j in range(piv, self.ambient_dim):
-                    row[j] -= c * w[j]
-        at = next(
-            (k for k, p in enumerate(self._pivots) if p > piv), len(self._pivots)
-        )
+            if c:
+                g = gcd(c, w[piv])
+                c, d = c // g, w[piv] // g
+                row = [d * a - c * b for a, b in zip(row, w)]
+                g = gcd(*row)
+                self._rows[k] = [a // g for a in row]
+        at = bisect_left(self._pivots, piv)
         self._rows.insert(at, w)
         self._pivots.insert(at, piv)
+        self._basis = None
         return True
 
     def basis(self) -> Mat:
-        return tuple(tuple(row) for row in self._rows)
+        """The reduced row-echelon basis over Q."""
+        if self._basis is None:
+            self._basis = tuple(
+                tuple(Fraction(a, row[piv]) for a in row)
+                for row, piv in zip(self._rows, self._pivots)
+            )
+        return self._basis
 
     def copy(self) -> "RowSpace":
         out = RowSpace(self.ambient_dim)
-        out._rows = [row[:] for row in self._rows]
+        out._rows = self._rows[:]
         out._pivots = self._pivots[:]
+        out._basis = self._basis
         return out
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
-
-def rank(a: Mat) -> int:
-    n, m = shape(a)
-    space = RowSpace(m)
-    for row in a:
-        space.add(row)
-    return space.dim
-
-
-def inverse(a: Mat) -> Mat:
-    n, m = shape(a)
-    if n != m:
-        raise ShapeMismatchError("inverse of a non-square matrix")
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ShapeMismatchError("singular matrix has no inverse")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)

@@ -89,7 +89,7 @@ class ExtQuiver:
     def arrow_list(self) -> tuple[Arrow, ...]:
         return self._arrow_list
 
-    # Both are fixed by the frozen fields, so each is built once per
+    # All three are fixed by the frozen fields, so each is built once per
     # quiver; the caches live outside the fields, which alone make up
     # __eq__, __hash__ and __repr__.
 
@@ -105,6 +105,14 @@ class ExtQuiver:
         return tuple(tuple(row) for row in d)
 
     @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        out: list[set[int]] = [set() for _ in self.loops]
+        for i, j, _ in self.arrows:
+            out[i].add(j)
+            out[j].add(i)
+        return tuple(tuple(sorted(nbrs)) for nbrs in out)
+
+    @cached_property
     def _arrow_list(self) -> tuple[Arrow, ...]:
         out = []
         for i, g in enumerate(self.loops):
@@ -116,13 +124,8 @@ class ExtQuiver:
         return tuple(out)
 
     def adjacent(self, i: int) -> tuple[int, ...]:
-        out = set()
-        for a, b, _ in self.arrows:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return tuple(sorted(out))
+        """Neighbours of vertex ``i`` along arrows, loops aside, sorted."""
+        return self._adjacency[i]
 
     def components(self, vertices: Optional[Iterable[int]] = None) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying graph restricted to

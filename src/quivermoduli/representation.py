@@ -17,7 +17,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -28,7 +30,7 @@ from .errors import (
     LatticeMismatchError,
     ShapeMismatchError,
 )
-from .linalg import Mat, RowSpace, Vec
+from .linalg import Mat, RowSpace, Vec, _cleared
 from .quiver import Arrow, DimVector, ExtQuiver
 
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -247,33 +249,54 @@ class _BudgetMeter:
         self.used += amount
 
 
+IntVec = Sequence[int]
+OutMaps = list[list[tuple[tuple[tuple[int, ...], ...], int]]]
+
+
+def _out_maps(rep: DoubleQuiverRep) -> OutMaps:
+    """Per vertex, every map leaving it with its target vertex, each
+    cleared to an integer matrix by the lcm of its denominators.  A
+    positive multiple of a map has the same invariant subspaces, so the
+    closures see the same subrepresentations."""
+    out: OutMaps = [[] for _ in rep.n]
+    for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
+        for mat, source, target in ((x, arrow.source, arrow.target),
+                                    (y, arrow.target, arrow.source)):
+            den = lcm(*(e.denominator for row in mat for e in row))
+            cleared = tuple(
+                tuple(e.numerator * (den // e.denominator) for e in row) for row in mat
+            )
+            out[source].append((cleared, target))
+    return out
+
+
 def _closure(
-    rep: DoubleQuiverRep,
-    seeds: Sequence[tuple[int, Vec]],
+    out_maps: OutMaps,
+    n: DimVector,
+    seeds: Sequence[tuple[int, IntVec]],
     meter: _BudgetMeter,
     base: Optional[Sequence[RowSpace]] = None,
 ) -> list[RowSpace]:
-    """Smallest subrepresentation containing ``base`` and the seed
-    vectors, by iterating every map of the double quiver to a fixed
+    """Smallest subrepresentation containing ``base`` and the integer
+    seed vectors, by iterating every map of the double quiver to a fixed
     point.  Each map application costs one budget unit."""
     if base is None:
-        spaces = [RowSpace(m) for m in rep.n]
+        spaces = [RowSpace(m) for m in n]
     else:
         spaces = [space.copy() for space in base]
-    worklist: list[tuple[int, Vec]] = []
+    worklist: list[tuple[int, IntVec]] = []
     for vertex, vec in seeds:
-        if spaces[vertex].add(vec):
+        if spaces[vertex]._absorb(vec):
             worklist.append((vertex, vec))
-    out_maps: list[list[tuple[Mat, int]]] = [[] for _ in rep.n]
-    for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
-        out_maps[arrow.source].append((x, arrow.target))
-        out_maps[arrow.target].append((y, arrow.source))
     while worklist:
         vertex, vec = worklist.pop()
         for mat, target in out_maps[vertex]:
             meter.spend()
-            image = linalg.matvec(mat, vec)
-            if spaces[target].add(image):
+            space = spaces[target]
+            if space.dim == space.ambient_dim:
+                continue  # a full space absorbs every image
+            image = [sum(map(mul, row, vec)) for row in mat]
+            if space._absorb(image):
                 worklist.append((target, image))
     return spaces
 
@@ -282,16 +305,19 @@ def _witness_from_spaces(spaces: Sequence[RowSpace]) -> SubrepWitness:
     return SubrepWitness(tuple(space.basis() for space in spaces))
 
 
-def _basis_seeds(rep: DoubleQuiverRep) -> Iterator[tuple[str, list[tuple[int, Vec]]]]:
+def _unit(m: int, k: int) -> tuple[int, ...]:
+    return tuple(1 if c == k else 0 for c in range(m))
+
+
+def _basis_seeds(rep: DoubleQuiverRep) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
     for vertex, m in enumerate(rep.n):
         for k in range(m):
-            vec = tuple(Fraction(1 if c == k else 0) for c in range(m))
-            yield "basis", [(vertex, vec)]
+            yield "basis", [(vertex, _unit(m, k))]
 
 
 def _subset_seeds(
     rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[tuple[str, list[tuple[int, Vec]]]]:
+) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
     coords = [
         (vertex, k) for vertex, m in enumerate(rep.n) for k in range(m)
     ]
@@ -301,16 +327,11 @@ def _subset_seeds(
             if count >= limits.max_subset_seeds:
                 return
             count += 1
-            seeds = []
-            for vertex, k in subset:
-                vec = tuple(
-                    Fraction(1 if c == k else 0) for c in range(rep.n[vertex])
-                )
-                seeds.append((vertex, vec))
-            yield "subset", seeds
+            yield "subset", [(vertex, _unit(rep.n[vertex], k)) for vertex, k in subset]
 
 
-def _grid_directions(dim: int, radius: int) -> list[Vec]:
+@cache
+def _grid_directions(dim: int, radius: int) -> tuple[tuple[int, ...], ...]:
     """Primitive grid vectors up to positive scaling, first nonzero
     coordinate positive, in deterministic order."""
     seen = set()
@@ -327,31 +348,31 @@ def _grid_directions(dim: int, radius: int) -> list[Vec]:
         cand = tuple(c // g for c in cand)
         if cand not in seen:
             seen.add(cand)
-            out.append(tuple(Fraction(c) for c in cand))
-    return out
+            out.append(cand)
+    return tuple(out)
 
 
-def _grid_subspaces(dim: int, radius: int) -> list[tuple[Vec, ...]]:
+@cache
+def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Distinct subspaces of Q^dim spanned by grid vectors, including
-    the zero and full subspace, each given by a reduced basis."""
+    the zero and full subspace, ordered by their reduced bases; each is
+    given by that basis with every row cleared to integers."""
     directions = _grid_directions(dim, radius)
-    seen = {}
+    seen = set()
     for size in range(0, dim + 1):
         for combo in itertools.combinations(directions, size):
             space = RowSpace(dim)
             for vec in combo:
-                space.add(vec)
-            if space.dim != size:
-                continue
-            key = space.basis()
-            if key not in seen:
-                seen[key] = key
-    return sorted(seen.values(), key=lambda basis: (len(basis), basis))
+                space._absorb(vec)
+            if space.dim == size:
+                seen.add(space.basis())
+    ordered = sorted(seen, key=lambda basis: (len(basis), basis))
+    return tuple(tuple(_cleared(row) for row in basis) for basis in ordered)
 
 
 def _grid_seeds(
     rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[tuple[str, list[tuple[int, Vec]]]]:
+) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
     if rep.total_dim > limits.grid_dim_cap:
         return
     for vertex, m in enumerate(rep.n):
@@ -377,7 +398,7 @@ def _grid_seeds(
 
 def _prng_seeds(
     rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[tuple[str, list[tuple[int, Vec]]]]:
+) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
     rng = random.Random(limits.seed)
     for _ in range(limits.prng_samples):
         seeds = []
@@ -386,12 +407,12 @@ def _prng_seeds(
                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)
             )
             if any(vec):
-                seeds.append((vertex, vec))
+                seeds.append((vertex, _cleared(vec)))
         if seeds:
             yield "prng", seeds
 
 
-def _all_seeds(rep, limits) -> Iterator[tuple[str, list[tuple[int, Vec]]]]:
+def _all_seeds(rep, limits) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
     yield from _basis_seeds(rep)
     yield from _subset_seeds(rep, limits)
     yield from _grid_seeds(rep, limits)
@@ -420,15 +441,17 @@ def destabilizer_search(
     closure of any tried seed has positive slope.
     """
     theta = _vanishing_character(rep, theta)
+    signs = _cleared(theta)
+    out_maps = _out_maps(rep)
     meter = _BudgetMeter(limits.budget)
     counts: dict[str, int] = {}
     for category, seeds in _all_seeds(rep, limits):
         counts[category] = counts.get(category, 0) + 1
-        spaces = _closure(rep, seeds, meter)
+        spaces = _closure(out_maps, rep.n, seeds, meter)
         m = tuple(space.dim for space in spaces)
         if sum(m) == 0:
             continue
-        if theta_slope(theta, m) > 0:
+        if sum(map(mul, signs, m)) > 0:  # positive slope
             witness = _witness_from_spaces(spaces)
             check = verify_subrep(rep, witness)
             if not (check.valid and theta_slope(theta, check.dims) > 0):
@@ -466,6 +489,8 @@ def jordan_holder_search(
     theta = _vanishing_character(rep, theta)
     if limits.budget <= 0:
         return FiltrationResult(False, reason="zero search budget")
+    signs = _cleared(theta)
+    out_maps = _out_maps(rep)
     meter = _BudgetMeter(limits.budget)
     current = [RowSpace(m) for m in rep.n]
     steps: list[SubrepWitness] = []
@@ -476,13 +501,13 @@ def jordan_holder_search(
             best: Optional[list[RowSpace]] = None
             best_total = None
             for _, seeds in _all_seeds(rep, limits):
-                spaces = _closure(rep, seeds, meter, base=current)
+                spaces = _closure(out_maps, rep.n, seeds, meter, base=current)
                 total = sum(space.dim for space in spaces)
                 if total <= cur_total:
                     continue
                 m = tuple(space.dim for space in spaces)
-                if theta_slope(theta, m) != 0:
-                    continue
+                if sum(map(mul, signs, m)):
+                    continue  # nonzero slope
                 if best is None or total < best_total:
                     best, best_total = spaces, total
                     if best_total == cur_total + 1:
@@ -521,8 +546,4 @@ def git_character(theta: Sequence[int]) -> GitCharacter:
 
 def integral_character(exponents: Sequence) -> GitCharacter:
     """Clear denominators of rational exponents by their lcm."""
-    fractions = [Fraction(e) for e in exponents]
-    lcm = 1
-    for f in fractions:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return GitCharacter(tuple(int(f * lcm) for f in fractions))
+    return GitCharacter(_cleared(exponents))

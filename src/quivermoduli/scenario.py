@@ -81,7 +81,7 @@ def _parse_int(raw, path: str, violations: list) -> int:
 def _parse_frac(raw, path: str, violations: list) -> Fraction:
     try:
         return Fraction(raw)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         violations.append((path, f"not a rational: {raw!r}"))
         return Fraction(0)
 
@@ -208,7 +208,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             tuple(tuple(row) for row in lat_doc["gram"]),
             even=bool(lat_doc.get("even", False)),
         )
-    except (QuiverModuliError, TypeError, ValueError) as exc:
+    except (QuiverModuliError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError([("$.lattice.gram", str(exc))])
 
     vectors: dict[str, LatticeVector] = {}
@@ -218,7 +218,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             continue
         try:
             vectors[name] = lattice.vector(coords)
-        except (QuiverModuliError, TypeError, ValueError) as exc:
+        except (QuiverModuliError, TypeError, ValueError, OverflowError) as exc:
             violations.append((f"$.vectors.{name}", str(exc)))
 
     decomposition = None
@@ -297,7 +297,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                 tuple(q_doc.get("loops", ())),
                 tuple(tuple(a) for a in q_doc.get("arrows", ())),
             )
-        except (QuiverModuliError, TypeError) as exc:
+        except (QuiverModuliError, TypeError, OverflowError) as exc:
             violations.append(("$.quiver", str(exc)))
 
     budgets = dict(DEFAULT_BUDGETS)
@@ -339,7 +339,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                 for m in rep_doc.get("y", ())
             )
             scenario.representations[name] = DoubleQuiverRep(q, n, xs, ys)
-        except (QuiverModuliError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (QuiverModuliError, TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
             violations.append((path, str(exc)))
 
     if violations:

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .decomposition import PolystableDecomposition
-from .errors import InternalInvariantError, LatticeMismatchError, NormalizationError
+from .errors import (
+    DegenerateValueError,
+    InternalInvariantError,
+    LatticeMismatchError,
+    NormalizationError,
+)
 from .lattice import (
     GramLattice,
     LatticeVector,
@@ -432,7 +437,7 @@ def _factors_of(verdict: Verdict) -> tuple[Factor, ...]:
         return tuple(out)
     if isinstance(verdict, ProductSplit):
         return verdict.factors
-    raise ValueError(f"verdict {verdict.kind} has no product shape")
+    raise DegenerateValueError(f"verdict {verdict.kind} has no product shape")
 
 
 def product_shape(report: StratumReport) -> tuple[Factor, ...]:

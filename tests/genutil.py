@@ -16,7 +16,7 @@ from quivermoduli import (
     GramLattice,
     PolystableDecomposition,
 )
-from quivermoduli.errors import QuiverModuliError
+from quivermoduli.errors import QuiverModuliError, ShapeMismatchError
 from quivermoduli.stability import GaussianRational, StabilityFunction
 
 # Even lattices with enough isotropic/spherical/positive classes to
@@ -80,7 +80,10 @@ def random_rep(
     max_total_dim: int = 8,
     entry_bound: int = 3,
     grid_entries: bool = False,
+    max_denominator: int = 1,
 ) -> DoubleQuiverRep:
+    """A random representation; ``max_denominator > 1`` draws each
+    entry's denominator from 1..max_denominator."""
     if quiver is None:
         quiver = random_quiver(rng)
     while True:
@@ -92,6 +95,10 @@ def random_rep(
         rows_x, cols_x = n[arrow.target], n[arrow.source]
         if grid_entries:
             entry = lambda: Fraction(rng.randint(-1, 1))
+        elif max_denominator > 1:
+            entry = lambda: Fraction(
+                rng.randint(-entry_bound, entry_bound), rng.randint(1, max_denominator)
+            )
         else:
             entry = lambda: Fraction(rng.randint(-entry_bound, entry_bound))
         xs.append(tuple(tuple(entry() for _ in range(cols_x)) for _ in range(rows_x)))
@@ -125,3 +132,32 @@ def orthogonal_character(rng: random.Random, n, bound: int = 4):
         if any(theta):
             return tuple(theta)
     return None
+
+
+def identity(n: int):
+    """The n x n identity matrix over Q."""
+    return tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    )
+
+
+def inverse(a):
+    """Inverse of a square rational matrix by Gauss-Jordan elimination;
+    ``ShapeMismatchError`` when it is singular or not square."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ShapeMismatchError("inverse of a non-square matrix")
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ShapeMismatchError("singular matrix has no inverse")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)

@@ -41,7 +41,7 @@ from quivermoduli.scenario import load_scenario
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stability import I, WeightedFiltration, filtration_weight
 
-from genutil import random_decomposition, random_gaussian, random_rep
+from genutil import inverse, random_decomposition, random_gaussian, random_rep
 from test_scenario_cli import base_doc
 
 
@@ -129,7 +129,7 @@ def _random_invertible(rng, m):
     while True:
         g = tuple(tuple(Q(rng.randint(-2, 2)) for _ in range(m)) for _ in range(m))
         try:
-            linalg.inverse(g)
+            inverse(g)
             return g
         except Exception:
             continue
@@ -139,8 +139,8 @@ def _act(rep, gs):
     xs, ys = [], []
     for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
         gs_, gt = gs[arrow.source], gs[arrow.target]
-        inv_s = linalg.inverse(gs_) if rep.n[arrow.source] else ()
-        inv_t = linalg.inverse(gt) if rep.n[arrow.target] else ()
+        inv_s = inverse(gs_) if rep.n[arrow.source] else ()
+        inv_t = inverse(gt) if rep.n[arrow.target] else ()
         if rep.n[arrow.source] and rep.n[arrow.target]:
             xs.append(linalg.matmul(linalg.matmul(gt, x), inv_s))
             ys.append(linalg.matmul(linalg.matmul(gs_, y), inv_t))
@@ -163,7 +163,7 @@ def test_criterion_3_moment_map_laws():
                 if not g:
                     continue
                 assert new == linalg.matmul(
-                    linalg.matmul(g, old), linalg.inverse(g)
+                    linalg.matmul(g, old), inverse(g)
                 )
 
 

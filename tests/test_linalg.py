@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from genutil import identity, inverse
 from quivermoduli import linalg
 from quivermoduli.errors import ShapeMismatchError
 
@@ -25,7 +26,7 @@ class TestBasicOps:
     def test_add_sub_scale(self):
         a = M((1, 2), (3, 4))
         assert linalg.sub(linalg.add(a, a), a) == a
-        assert linalg.scale(Q(1, 2), linalg.add(a, a)) == a
+        assert linalg.add(a, a) == M((2, 4), (6, 8))
 
     def test_transpose_trace(self):
         a = M((1, 2), (3, 4))
@@ -59,7 +60,7 @@ class TestRowSpace:
         other = space.copy()
         other.add((0, 1))
         assert space.dim == 1 and other.dim == 2
-        assert other.is_full()
+        assert other.dim == other.ambient_dim
 
     def test_reduced_basis_is_canonical(self):
         a = linalg.RowSpace(3, [(1, 2, 3), (0, 1, 1)])
@@ -72,21 +73,24 @@ class TestRowSpace:
 
 
 class TestRankInverse:
+    """Rank through ``RowSpace``; ``inverse`` is the test-suite helper
+    the equivariance oracles rely on."""
+
     def test_rank(self):
-        assert linalg.rank(M((1, 2), (2, 4))) == 1
-        assert linalg.rank(M((1, 0), (0, 1))) == 2
-        assert linalg.rank(()) == 0
+        assert linalg.RowSpace(2, M((1, 2), (2, 4))).dim == 1
+        assert linalg.RowSpace(2, M((1, 0), (0, 1))).dim == 2
+        assert linalg.RowSpace(0, ()).dim == 0
 
     def test_inverse_roundtrip(self):
         a = M((1, 2), (3, 5))
-        inv = linalg.inverse(a)
-        assert linalg.matmul(a, inv) == linalg.identity(2)
-        assert linalg.matmul(inv, a) == linalg.identity(2)
+        inv = inverse(a)
+        assert linalg.matmul(a, inv) == identity(2)
+        assert linalg.matmul(inv, a) == identity(2)
 
     def test_singular_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            linalg.inverse(M((1, 2), (2, 4)))
+            inverse(M((1, 2), (2, 4)))
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            linalg.inverse(M((1, 2),))
+            inverse(M((1, 2),))

@@ -86,9 +86,16 @@ class TestExtQuiverCaches:
             (0, 0, 0), (0, 1, 0), (0, 1, 1),
         ]
 
+    def test_adjacency_built_once(self):
+        q = ExtQuiver((2, 0, 0, 1), ((0, 2, 1), (1, 2, 3), (0, 1, 0)))
+        assert [q.adjacent(i) for i in range(4)] == [(2,), (2,), (0, 1), ()]
+        assert q.adjacent(2) is q.adjacent(2)
+        assert q.components() == ((0, 1, 2), (3,))
+        assert q.components([0, 1, 3]) == ((0,), (1,), (3,))
+
     def test_identity_is_the_fields_alone(self):
         used, fresh = ExtQuiver((1, 0), ((0, 1, 2),)), ExtQuiver((1, 0), ((0, 1, 2),))
-        used.arrow_list(), used.neg_cartan()
+        used.arrow_list(), used.neg_cartan(), used.adjacent(0)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "ExtQuiver(loops=(1, 0), arrows=((0, 1, 2),))"
 

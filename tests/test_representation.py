@@ -28,7 +28,7 @@ from quivermoduli.errors import (
     ShapeMismatchError,
 )
 
-from genutil import orthogonal_character, random_rep
+from genutil import identity, inverse, orthogonal_character, random_rep
 
 ONE_LOOP = ExtQuiver((1,), ())
 AFFINE_A1 = ExtQuiver((0, 0), ((0, 1, 2),))
@@ -76,7 +76,7 @@ class TestMomentMap:
             moved = _act(rep, gs)
             lhs = moment_map(moved)
             rhs = tuple(
-                linalg.matmul(linalg.matmul(g, b), linalg.inverse(g))
+                linalg.matmul(linalg.matmul(g, b), inverse(g))
                 for g, b in zip(gs, moment_map(rep))
             )
             assert lhs == rhs
@@ -94,7 +94,7 @@ def _random_invertible(rng, m):
             tuple(Q(rng.randint(-2, 2)) for _ in range(m)) for _ in range(m)
         )
         try:
-            linalg.inverse(g)
+            inverse(g)
             return g
         except ShapeMismatchError:
             continue
@@ -104,8 +104,8 @@ def _act(rep, gs):
     xs, ys = [], []
     for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
         gs_, gt = gs[arrow.source], gs[arrow.target]
-        gs_inv = linalg.inverse(gs_) if rep.n[arrow.source] else ()
-        gt_inv = linalg.inverse(gt) if rep.n[arrow.target] else ()
+        gs_inv = inverse(gs_) if rep.n[arrow.source] else ()
+        gt_inv = inverse(gt) if rep.n[arrow.target] else ()
         xs.append(_triple(gt, x, gs_inv))
         ys.append(_triple(gs_, y, gt_inv))
     return DoubleQuiverRep(rep.quiver, rep.n, tuple(xs), tuple(ys))
@@ -161,7 +161,7 @@ class TestVerifySubrep:
         rng = random.Random(53)
         for _ in range(15):
             rep = random_rep(rng, max_total_dim=5)
-            full = SubrepWitness(tuple(linalg.identity(m) for m in rep.n))
+            full = SubrepWitness(tuple(identity(m) for m in rep.n))
             check = verify_subrep(rep, full)
             assert check.valid and check.dims == rep.n
 

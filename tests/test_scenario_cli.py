@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivermoduli.cli import COMMANDS, Overrides, main, run_command
 from quivermoduli.errors import ScenarioError, UnknownCommandError
@@ -117,6 +121,27 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc)
         assert (path, f"not an integer: {value!r}") in err.value.violations
+
+    @pytest.mark.parametrize("field,path", [
+        (("representations", "R", "x", 0, 0, 0), "$.representations.R"),
+        (("representations", "R", "n", 0), "$.representations.R"),
+        (("characters", "theta", 0), "$.characters.theta[0]"),
+        (("vectors", "w", 0), "$.vectors.w"),
+        (("quiver", "loops", 0), "$.quiver"),
+        (("lattice", "gram", 0, 0), "$.lattice.gram"),
+    ])
+    def test_infinity_is_a_violation(self, field, path):
+        # JSON parsers accept Infinity; no exact value corresponds to it.
+        doc = base_doc()
+        doc["quiver"] = {"loops": [1, 1], "arrows": [[0, 1, 1]]}
+        *parents, key = field
+        entry = doc
+        for part in parents:
+            entry = entry[part]
+        entry[key] = float("inf")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(json.dumps(doc))
+        assert path in [p for p, _ in err.value.violations]
 
     def test_budget_keys_validated(self):
         doc = base_doc()
@@ -276,6 +301,21 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "domain"
 
+    def test_inconclusive_product_shape_exit_one(self, tmp_path, capsys):
+        # An isotropic summand pairing to 1 with the positive one leaves
+        # the analyzer inconclusive, which has no product shape.
+        doc = base_doc()
+        doc["lattice"]["gram"] = [[2, 1], [1, 0]]
+        del doc["representations"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["--scenario", str(path), "stratum", "product-shape"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [
+            {"error": "domain", "message": "verdict inconclusive has no product shape"}
+        ]
+
     def test_usage_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(base_doc()))
@@ -339,3 +379,84 @@ class TestMainEntry:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["results"]["expected_dimension"] == 4
+
+
+# --- fuzzing the rep commands ----------------------------------------------
+
+WIRE_RATIONALS = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from(["1/2", "-2/3", "3", "0"]),
+    st.sampled_from(["x", "1/0", None, 1.5, [], {}, True, "1e3", " 2 ",
+                     float("inf"), float("nan")]),
+)
+NAMES = ("R", "S", "T")  # T is never defined
+
+
+@st.composite
+def rep_scenarios(draw):
+    """A scenario document with a small quiver, ``representations`` and
+    ``characters`` sections (well-formed or mutated), and an argv for
+    one of the ``rep`` commands."""
+    vertices = draw(st.integers(1, 2))
+    loops = draw(st.lists(st.integers(0, 1), min_size=vertices, max_size=vertices))
+    edges = draw(st.integers(0, 2)) if vertices == 2 else 0
+    ends = [(i, i) for i, g in enumerate(loops) for _ in range(g)] + [(0, 1)] * edges
+
+    def block(rows, cols):
+        return [[draw(WIRE_RATIONALS) for _ in range(cols)] for _ in range(rows)]
+
+    reps = {}
+    for name in draw(st.lists(st.sampled_from(NAMES[:2]), unique=True, max_size=2)):
+        n = draw(st.lists(st.integers(0, 2), min_size=vertices, max_size=vertices))
+        rep = {"n": n, "x": [block(n[t], n[s]) for s, t in ends],
+               "y": [block(n[s], n[t]) for s, t in ends]}
+        mutation = draw(st.sampled_from([None, None, "n", "x", "drop-y", "scalar"]))
+        if mutation == "n":
+            rep["n"] = draw(st.one_of(st.lists(WIRE_RATIONALS, max_size=3), WIRE_RATIONALS))
+        elif mutation == "x":
+            rep["x"] = draw(st.one_of(st.lists(WIRE_RATIONALS, max_size=2), WIRE_RATIONALS))
+        elif mutation == "drop-y":
+            del rep["y"]
+        elif mutation == "scalar":
+            rep = draw(WIRE_RATIONALS)
+        reps[name] = rep
+    characters = {
+        name: draw(st.one_of(
+            st.lists(WIRE_RATIONALS, min_size=vertices, max_size=vertices),
+            st.lists(WIRE_RATIONALS, max_size=3),
+            WIRE_RATIONALS,
+        ))
+        for name in draw(st.lists(st.sampled_from(NAMES[:2]), unique=True, max_size=2))
+    }
+    doc = {
+        "lattice": {"gram": [[2]]},
+        "quiver": {"loops": loops, "arrows": [[0, 1, edges]] if edges else []},
+        "representations": reps,
+        "characters": characters,
+    }
+    action, arity = draw(st.sampled_from(
+        [("moment-map", 1), ("check-fiber", 1), ("destabilize", 2), ("jh", 2)]
+    ))
+    arity += draw(st.sampled_from([0, 0, 0, -1, 1]))  # mostly the right count
+    argv = ["rep", action] + [draw(st.sampled_from(NAMES)) for _ in range(arity)]
+    for flag in draw(st.lists(st.sampled_from(["--seed", "--budget"]), unique=True)):
+        argv = [flag, str(draw(st.integers(-1, 40)))] + argv
+    return doc, argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=rep_scenarios())
+def test_rep_commands_end_in_one_verdict(case):
+    doc, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["--scenario", json.dumps(doc)] + argv)
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in ("usage", "schema", "domain")

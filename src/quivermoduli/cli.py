@@ -298,12 +298,12 @@ def _h_stab_chi_sigma(sc, args, ov):
 
 
 def _h_stab_classical_weight(sc, args, ov):
-    terms = json.loads(args["terms"])
-    value = stability.classical_git_weight(
-        [(int(w), [int(c) for c in coeffs]) for w, coeffs in terms],
-        int(args["ell"]),
-    )
-    return {"value": value}
+    try:
+        terms = [(int(w), [int(c) for c in coeffs]) for w, coeffs in json.loads(args["terms"])]
+    except (TypeError, OverflowError) as exc:
+        # a non-list term or coefficient list, or an infinite number
+        raise ValueError(f"terms must be [[weight, [coefficients]], ...]: {exc}") from exc
+    return {"value": stability.classical_git_weight(terms, int(args["ell"]))}
 
 
 def _h_stab_kclass(sc, args, ov):

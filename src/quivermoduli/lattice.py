@@ -139,21 +139,27 @@ def classify(v: LatticeVector) -> ClassKind:
 def signature(lat: GramLattice) -> tuple[int, int, int]:
     """Counts of (positive, negative, zero) eigenvalues.
 
-    Computed by exact symmetric congruence reduction over Q; by
-    Sylvester's law of inertia the sign counts of the resulting
-    diagonal agree with the eigenvalue sign counts.
+    Computed by symmetric congruence reduction over Z.  Each pivot p
+    replaces the trailing block by |p| times its Schur complement: the
+    congruence that clears row and column k by multiplying the other
+    rows and columns by p instead of dividing by it, up to the positive
+    factor |p|.  The block is then divided by the positive gcd of its
+    entries.  Positive rescaling and invertible congruence keep the
+    inertia, so by Sylvester's law the sign counts of the pivots agree
+    with the eigenvalue sign counts.
     """
     n = lat.rank
-    m = [[Fraction(x) for x in row] for row in lat.gram]
+    m = [list(row) for row in lat.gram]
     pos = neg = zero = 0
     for k in range(n):
+        # Only the trailing block m[k:][k:] is live; entries left of it
+        # are never read again.
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
             if swap is not None:
-                for j in range(n):
-                    m[k][j], m[swap][j] = m[swap][j], m[k][j]
-                for i in range(n):
-                    m[i][k], m[i][swap] = m[i][swap], m[i][k]
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
             else:
                 other = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
                 if other is None:
@@ -161,22 +167,30 @@ def signature(lat: GramLattice) -> tuple[int, int, int]:
                     continue
                 # Row/column addition keeps congruence and makes the
                 # diagonal entry 2*m[k][other] != 0.
-                for j in range(n):
+                for j in range(k, n):
                     m[k][j] += m[other][j]
-                for i in range(n):
+                for i in range(k, n):
                     m[i][k] += m[i][other]
         pivot = m[k][k]
         if pivot > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                c = m[i][k] / pivot
-                for j in range(n):
-                    m[i][j] -= c * m[k][j]
-                for j in range(n):
-                    m[j][i] -= c * m[j][k]
+        sign = 1 if pivot > 0 else -1
+        scale = sign * pivot
+        row_k = m[k]
+        rest = range(k + 1, n)
+        g = 0
+        for i in rest:
+            row, c = m[i], sign * m[i][k]
+            for j in rest:
+                row[j] = scale * row[j] - c * row_k[j]
+                g = gcd(g, row[j])
+        if g > 1:
+            for i in rest:
+                row = m[i]
+                for j in rest:
+                    row[j] //= g
     return (pos, neg, zero)
 
 

@@ -26,6 +26,12 @@ from .quiver import ExtQuiver, build_ext_quiver
 from .representation import DoubleQuiverRep, SearchLimits
 from .stability import GaussianRational, StabilityFunction
 
+# Largest sum(n_i^2) of a representation's dimension vector.  The
+# moment map builds an n_i x n_i block at every vertex whatever the
+# arrows, and ``rep moment-map`` prints them, so the cap bounds that
+# work where no budget reaches.
+MAX_REP_SQUARES = 1024
+
 DEFAULT_BUDGETS = {
     "root_budget": 200_000,
     "search_budget": 100_000,
@@ -330,6 +336,11 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             continue
         try:
             n = tuple(int(x) for x in rep_doc["n"])
+            squares = sum(x * x for x in n)
+            if squares > MAX_REP_SQUARES:
+                violations.append((f"{path}.n", f"sum of squared dimensions "
+                                   f"{squares} exceeds {MAX_REP_SQUARES}"))
+                continue
             xs = tuple(
                 tuple(tuple(Fraction(x) for x in row) for row in m)
                 for m in rep_doc.get("x", ())

@@ -1,10 +1,11 @@
 """Lattice-level stability functions over the Gaussian rationals.
 
 A stability function is a linear map from a lattice to Q[i], recorded
-by its values on the basis.  Phases are kept as exact directions and
-compared by cross-multiplication; slopes are exact rationals with an
-infinity marker; filtration weights, the instability test against
-declared subobject classes, the classical one-parameter weight and the
+by its values on the basis and evaluated on their cleared integer
+numerators.  Phases are kept as exact directions and compared by
+cross-multiplication; slopes are exact rationals with an infinity
+marker; filtration weights, the instability test against declared
+subobject classes, the classical one-parameter weight and the
 determinant-character exponents are all computed exactly.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .decomposition import PolystableDecomposition
@@ -82,7 +85,6 @@ class GaussianRational:
 
 
 I = GaussianRational(Fraction(0), Fraction(1))
-ZERO = GaussianRational(Fraction(0), Fraction(0))
 
 
 class _InfiniteSlope:
@@ -189,24 +191,37 @@ class StabilityFunction:
             )
 
     def __call__(self, v: LatticeVector) -> GaussianRational:
-        if v.lattice != self.lattice:
+        x, y = self._numerators(v)
+        den = self._cleared[0]
+        return GaussianRational(Fraction(x, den), Fraction(y, den))
+
+    # Built once per function from the frozen basis values; the cache
+    # lives outside the fields, which alone make up __eq__, __hash__ and
+    # __repr__.
+    @cached_property
+    def _cleared(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, xs, ys): the basis values as (xs[k] + i*ys[k]) / D over
+        their least common positive denominator D."""
+        den = 1
+        for z in self.values:
+            den = lcm(den, z.re.denominator, z.im.denominator)
+        return (
+            den,
+            tuple(z.re.numerator * (den // z.re.denominator) for z in self.values),
+            tuple(z.im.numerator * (den // z.im.denominator) for z in self.values),
+        )
+
+    def _numerators(self, v: LatticeVector) -> tuple[int, int]:
+        """Z(v) = (x + i*y) / D as the integer pair (x, y), with D the
+        common denominator of ``_cleared``."""
+        if v.lattice is not self.lattice and v.lattice != self.lattice:
             raise LatticeMismatchError("vector is not in this function's lattice")
-        out = ZERO
-        for c, z in zip(v.coords, self.values):
-            if c:
-                out = out + z * c
-        return out
+        _, xs, ys = self._cleared
+        return sum(map(mul, xs, v.coords)), sum(map(mul, ys, v.coords))
 
     def scaled(self, c) -> "StabilityFunction":
         c = c if isinstance(c, GaussianRational) else GaussianRational.of(c)
         return StabilityFunction(self.lattice, tuple(z * c for z in self.values))
-
-    def __add__(self, other: "StabilityFunction") -> "StabilityFunction":
-        if other.lattice != self.lattice:
-            raise LatticeMismatchError("cannot add functions on different lattices")
-        return StabilityFunction(
-            self.lattice, tuple(a + b for a, b in zip(self.values, other.values))
-        )
 
 
 def phase(z: StabilityFunction, v: LatticeVector) -> Phase:

@@ -6,13 +6,19 @@ vector.  Every positive root cuts a potential wall there; chambers are
 located by exact sign vectors.  On the stability side, the degree
 vector Im(Z(v_i)/Z0(v)) carries a normalized-slice stability function
 to a character, and wall equations correspond exactly.
+
+Degree vectors are computed on cleared integer numerators that share
+one positive denominator, so the slice test and the wall guard are
+zero tests on integers; only returned values become ``Fraction``s,
+identical to those of a per-coordinate ``Fraction`` evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .decomposition import PolystableDecomposition
@@ -127,6 +133,41 @@ def locate_chamber(theta: CharacterPoint, walls: Sequence[Wall]) -> ChamberSigna
     return ChamberSignature(tuple(signs), tuple(walls))
 
 
+def _degree_numerators(
+    z: StabilityFunction,
+    z0_of_total: GaussianRational,
+    decomp: PolystableDecomposition,
+) -> tuple[tuple[int, ...], int]:
+    """The degrees Im(Z(v_i)/Z0(v)) as integer numerators over one
+    positive denominator.
+
+    With Z(v_i) = (x_i + i*y_i)/D and Z0(v) = (p + i*q)/E cleared to
+    integers, Im(Z(v_i)/Z0(v)) = E*(y_i*p - x_i*q) / (D*(p^2 + q^2)).
+    """
+    if z0_of_total.is_zero():
+        raise DegenerateValueError("reference value Z0(v) must be nonzero")
+    re, im = z0_of_total.re, z0_of_total.im
+    e = lcm(re.denominator, im.denominator)
+    p = re.numerator * (e // re.denominator)
+    q = im.numerator * (e // im.denominator)
+    nums = []
+    for v in decomp.classes:
+        x, y = z._numerators(v)
+        nums.append(e * (y * p - x * q))
+    return tuple(nums), z._cleared[0] * (p * p + q * q)
+
+
+def _dot(coeffs: Sequence[int], nums: Sequence[int]) -> int:
+    return sum(map(mul, coeffs, nums))
+
+
+def _require_on_slice(nums: Sequence[int], decomp: PolystableDecomposition) -> None:
+    if _dot(decomp.multiplicities, nums) != 0:
+        raise LatticeMismatchError(
+            "stability function is off the slice: total degree is nonzero"
+        )
+
+
 def degree_vector(
     z: StabilityFunction,
     z0_of_total: GaussianRational,
@@ -134,9 +175,8 @@ def degree_vector(
 ) -> tuple[Fraction, ...]:
     """Per-summand degrees Im(Z(v_i)/Z0(v)); zero at the reference
     function, since its summand values all share the total's phase."""
-    if z0_of_total.is_zero():
-        raise DegenerateValueError("reference value Z0(v) must be nonzero")
-    return tuple((z(v) / z0_of_total).im for v in decomp.classes)
+    nums, den = _degree_numerators(z, z0_of_total, decomp)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def degree_of_class(
@@ -146,11 +186,8 @@ def degree_of_class(
     coeffs: Sequence[int],
 ) -> Fraction:
     """Degree of the combination sum(a_i v_i), extended linearly."""
-    return _degree(coeffs, degree_vector(z, z0_of_total, decomp))
-
-
-def _degree(coeffs: Sequence[int], degrees: Sequence[Fraction]) -> Fraction:
-    return sum((int(a) * d for a, d in zip(coeffs, degrees)), Fraction(0))
+    nums, den = _degree_numerators(z, z0_of_total, decomp)
+    return Fraction(_dot([int(a) for a in coeffs], nums), den)
 
 
 def on_slice(
@@ -160,8 +197,8 @@ def on_slice(
 ) -> bool:
     """Whether the degree of the total class vanishes, i.e. the degree
     vector is a legal character for the multiplicity vector."""
-    degrees = degree_vector(z, z0_of_total, decomp)
-    return _degree(decomp.multiplicities, degrees) == 0
+    nums, _ = _degree_numerators(z, z0_of_total, decomp)
+    return _dot(decomp.multiplicities, nums) == 0
 
 
 def to_character(
@@ -174,15 +211,9 @@ def to_character(
     With Z0(v) = i the coordinates are -Re Z(v_i), matching the
     determinant-character exponents.
     """
-    return _character(degree_vector(z, z0_of_total, decomp), decomp)
-
-
-def _character(degrees: tuple[Fraction, ...], decomp: PolystableDecomposition) -> CharacterPoint:
-    if _degree(decomp.multiplicities, degrees) != 0:
-        raise LatticeMismatchError(
-            "stability function is off the slice: total degree is nonzero"
-        )
-    return CharacterPoint(degrees, decomp.multiplicities)
+    nums, den = _degree_numerators(z, z0_of_total, decomp)
+    _require_on_slice(nums, decomp)
+    return CharacterPoint(tuple(Fraction(n, den) for n in nums), decomp.multiplicities)
 
 
 def wall_class(decomp: PolystableDecomposition, alpha: Sequence[int]) -> LatticeVector:
@@ -199,13 +230,16 @@ def wall_correspondence_holds(
     """Regression guard for the wall dictionary: a sample lies on the
     stability-side wall of sum(alpha_i v_i) exactly when its character
     lies on the root's hyperplane.  This is an identity; any failure
-    means a bug."""
+    means a bug.
+
+    On the cleared numerators N_i of the degree vector the two sides are
+    one integer: the degree of sum(alpha_i v_i) and theta . alpha are
+    both sum(alpha_i N_i) over the same positive denominator.  So every
+    sample on the slice satisfies the dictionary, and what is left to
+    check is that each sample lies on the slice.
+    """
     alpha = tuple(int(a) for a in alpha)
     for z in samples:
-        degrees = degree_vector(z, z0_of_total, decomp)
-        theta = _character(degrees, decomp)
-        lhs = _degree(alpha, degrees) == 0
-        rhs = theta.dot(alpha) == 0
-        if lhs != rhs:
-            return False
+        nums, _ = _degree_numerators(z, z0_of_total, decomp)
+        _require_on_slice(nums, decomp)
     return True

@@ -117,6 +117,13 @@ def random_stability(rng: random.Random, lat: GramLattice) -> StabilityFunction:
     return StabilityFunction(lat, tuple(random_gaussian(rng) for _ in range(lat.rank)))
 
 
+def add_stability(z1: StabilityFunction, z2: StabilityFunction) -> StabilityFunction:
+    """The pointwise sum of two stability functions on one lattice."""
+    return StabilityFunction(
+        z1.lattice, tuple(a + b for a, b in zip(z1.values, z2.values))
+    )
+
+
 def orthogonal_character(rng: random.Random, n, bound: int = 4):
     """A nonzero rational vector with theta . n = 0, or None if n has
     fewer than two nonzero entries."""

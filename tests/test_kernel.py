@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -23,13 +24,21 @@ from hypothesis import strategies as st
 from quivermoduli import (
     GramLattice,
     HyperbolicPair,
+    PolystableDecomposition,
     StabilityFunction,
+    degree_vector,
     detect_totally_semistable,
     find_isotropic,
+    on_slice,
     pairing,
+    to_character,
+    wall_correspondence_holds,
 )
+from quivermoduli.errors import QuiverModuliError
 from quivermoduli.lattice import iter_box
+from quivermoduli.scenario import to_wire
 from quivermoduli.stability import GaussianRational as G
+from quivermoduli.walls import degree_of_class
 
 
 def filtered_box(rank, bound):
@@ -211,3 +220,109 @@ def test_detector_matches_reference(case, bound):
         witness.witness if witness else None,
         got.searched_bound,
     ) == reference_detect(hp, z0, bound)
+
+
+# -- degree vectors and the wall dictionary ----------------------------
+
+# Even lattices of ranks 1-4; rank 1 includes the degenerate form (0).
+WALL_GRAMS = (
+    ((2,),),
+    ((-2,),),
+    ((0,),),
+    ((0, 1), (1, 0)),
+    ((-2, 0), (0, 2)),
+    ((2, 1), (1, -2)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, -2)),
+    ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+)
+
+
+def random_rational(rng):
+    """Mostly small rationals, some zeros, and a share of numerators and
+    denominators up to 10**12."""
+    roll = rng.random()
+    if roll < 0.15:
+        return Q(0)
+    if roll < 0.4:
+        return Q(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+    return Q(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def random_sample(rng, gram, dec, ref):
+    """A stability function on a fresh copy of the lattice; three times
+    in four it is moved onto the slice, Z(total) = t * ref."""
+    lat = GramLattice(gram, even=True) if rng.random() < 0.5 else dec.lattice
+    values = [G(random_rational(rng), random_rational(rng)) for _ in gram]
+    total = dec.total().coords
+    k = next((i for i, c in enumerate(total) if c), None)
+    if k is not None and rng.random() < 0.75:
+        rest = G.of(0)
+        for j, (c, z) in enumerate(zip(total, values)):
+            if j != k:
+                rest = rest + z * c
+        values[k] = (ref * random_rational(rng) - rest) / total[k]
+    return StabilityFunction(lat, tuple(values))
+
+
+def wall_dictionary_cases(count=300, seed=61):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        # every (rank, number of summands) pair from 1-4 comes up
+        rank, size = 1 + len(cases) % 4, 1 + len(cases) // 4 % 4
+        gram = rng.choice([g for g in WALL_GRAMS if len(g) == rank])
+        lat = GramLattice(gram, even=True)
+        summands = [
+            (lat.vector(rng.randint(-2, 2) for _ in gram), rng.randint(1, 3))
+            for _ in range(size)
+        ]
+        try:
+            dec = PolystableDecomposition.of(summands)
+        except QuiverModuliError:
+            continue
+        roll = rng.random()
+        if roll < 0.1:
+            ref = G.of(0)
+        elif roll < 0.5:
+            ref = G.of(0, abs(random_rational(rng)) or 1)
+        else:
+            ref = G(random_rational(rng), random_rational(rng))
+        samples = [random_sample(rng, gram, dec, ref) for _ in range(3)]
+        alphas = [tuple(rng.randint(-2, 2) for _ in range(size)) for _ in range(2)]
+        cases.append((dec, ref, samples, alphas))
+    return cases
+
+
+def outcome(call):
+    """The wire form of a result, or the class name of the error raised."""
+    try:
+        return to_wire(call())
+    except QuiverModuliError as exc:
+        return ["raised", type(exc).__name__]
+
+
+# sha256 of degree_vector, on_slice, to_character, degree_of_class and
+# wall_correspondence_holds over 300 seeded cases, one JSON line per
+# case, recorded from the per-coordinate Fraction evaluation.
+WALL_DICTIONARY_DIGEST = "e65b63015f287c349789488726c30d69f4f7d600311a9ae437fe560f42c46d3a"
+
+
+def test_wall_dictionary_matches_recorded_digest():
+    lines = []
+    for dec, ref, samples, alphas in wall_dictionary_cases():
+        record = [dec.lattice.gram, [v.coords for v in dec.classes], dec.multiplicities]
+        for z in samples:
+            record.append([
+                outcome(lambda: degree_vector(z, ref, dec)),
+                outcome(lambda: on_slice(z, ref, dec)),
+                outcome(lambda: to_character(z, ref, dec).theta),
+                [outcome(lambda: degree_of_class(z, ref, dec, a)) for a in alphas],
+            ])
+        for a in alphas:
+            record.append([
+                outcome(lambda: wall_correspondence_holds(a, samples, ref, dec)),
+                outcome(lambda: wall_correspondence_holds(a, samples[:1], ref, dec)),
+            ])
+        lines.append(json.dumps(record))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == WALL_DICTIONARY_DIGEST

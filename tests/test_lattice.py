@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,62 @@ class TestSignature:
                 for i in range(n)
             )
             assert signature(GramLattice(gram)) == signature(lat)
+
+
+def fraction_signature(gram):
+    """Reference: symmetric congruence reduction over Q with Fraction
+    division, the sign counts of the diagonal it reaches."""
+    n = len(gram)
+    m = [[Q(x) for x in row] for row in gram]
+    pos = neg = zero = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                other = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if other is None:
+                    zero += 1
+                    continue
+                for j in range(n):
+                    m[k][j] += m[other][j]
+                for i in range(n):
+                    m[i][k] += m[i][other]
+        pivot = m[k][k]
+        pos, neg = (pos + 1, neg) if pivot > 0 else (pos, neg + 1)
+        for i in range(k + 1, n):
+            c = m[i][k] / pivot
+            m[i] = [x - c * y for x, y in zip(m[i], m[k])]
+            for row in m:
+                row[i] -= c * row[k]
+    return pos, neg, zero
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Ranks 1-5: symmetric matrices with many zero entries, or
+    transpose(B) . diag(d) . B, often singular, with larger entries."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -7))
+        upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+        return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    k = draw(st.integers(1, n))
+    b = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(k)]
+    d = [draw(st.integers(-5, 5)) for _ in range(k)]
+    return tuple(
+        tuple(sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n))
+        for i in range(n)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(gram=symmetric_matrices())
+def test_signature_matches_fraction_reference(gram):
+    assert signature(GramLattice(gram)) == fraction_signature(gram)
 
 
 class TestFindIsotropic:

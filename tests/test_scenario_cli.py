@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from quivermoduli.cli import COMMANDS, Overrides, main, run_command
 from quivermoduli.errors import ScenarioError, UnknownCommandError
-from quivermoduli.scenario import load_scenario
+from quivermoduli.scenario import MAX_REP_SQUARES, load_scenario
 
 
 def base_doc():
@@ -142,6 +144,33 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(json.dumps(doc))
         assert path in [p for p, _ in err.value.violations]
+
+    def test_representation_size_is_capped(self):
+        # One vertex and no arrows: the moment map alone would build a
+        # 20000 x 20000 block.
+        doc = {"lattice": {"gram": [[2]]}, "quiver": {"loops": [0], "arrows": []},
+               "representations": {"R": {"n": [20000]}}}
+        started = time.perf_counter()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["--scenario", json.dumps(doc), "rep", "check-fiber", "R"])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "schema"
+        assert "$.representations.R.n" in json.dumps(error)
+
+    def test_representation_at_the_cap_loads(self):
+        side = math.isqrt(MAX_REP_SQUARES // 4)
+        doc = {"lattice": {"gram": [[2]]}, "quiver": {"loops": [0] * 4, "arrows": []},
+               "representations": {"R": {"n": [side] * 4}}}
+        assert load_scenario(doc).representations["R"].n == (side,) * 4
+        doc["representations"]["R"]["n"][0] += 1
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert [path for path, _ in err.value.violations] == ["$.representations.R.n"]
 
     def test_budget_keys_validated(self):
         doc = base_doc()
@@ -367,6 +396,13 @@ class TestMainEntry:
         assert rc == 2
         rc = main(["--scenario", str(path), "quiver", "dim", "--n", "a,b"])
         assert rc == 2
+        # A non-list term or coefficient list and an infinite coefficient
+        # used to escape as TypeError and OverflowError tracebacks.
+        for terms in ("5", "[[1,5]]", "[[1,[1e400]]]", "[[1]]", '[["a",[1]]]'):
+            capsys.readouterr()
+            rc = main(["--scenario", str(path), "stability", "classical-weight", terms, "5"])
+            assert rc == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
     def test_subprocess_invocation(self, tmp_path):
         path = tmp_path / "s.json"
@@ -444,10 +480,9 @@ def rep_scenarios(draw):
     return doc, argv
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(case=rep_scenarios())
-def test_rep_commands_end_in_one_verdict(case):
-    doc, argv = case
+def assert_one_verdict(doc, argv):
+    """Exit code 0, 1 or 2, and one JSON document: the report on
+    stdout, or one error line on stderr; never a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(["--scenario", json.dumps(doc)] + argv)
@@ -460,3 +495,95 @@ def test_rep_commands_end_in_one_verdict(case):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] in ("usage", "schema", "domain")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=rep_scenarios())
+def test_rep_commands_end_in_one_verdict(case):
+    assert_one_verdict(*case)
+
+
+# --- fuzzing the walls and stability commands ------------------------------
+
+VECTOR_NAMES = ("w", "s", "v", "u")   # u is never defined
+FUNCTION_NAMES = ("Z0", "Z", "Y")     # Y is never defined
+EXACT_RATIONALS = st.sampled_from(["0", "1/2", "-1/4", "3", "-2/3", "1", "-1", 2, 0])
+INLINE = st.one_of(
+    st.sampled_from(["1,0", "0,1", "1,1", "2,-1", "1", "1,0,0", "", ",", "x", "1,,2",
+                     "1.5,0", "w,s", "w", "s,v,u", "-1,-1", "0,0"]),
+    st.text(alphabet="0123456789,-x ", max_size=6),
+)
+SAMPLE_LISTS = st.sampled_from(["Z", "Z0", "Z,Z0", "Z0,Z,Z", "Z,Y", "", ",", "Z,,Z0"])
+CLASSICAL_TERMS = st.sampled_from([
+    "[[1,[0,1]],[-1,[0,1]]]", "[]", "[[1,5]]", "5", "[[1]]", "[[1,[1e400]]]",
+    '[["a",[1]]]', "[[1,[1,2,3],4]]", "{}", "[[1,{}]]", "x", "[[1.5,[2]]]",
+])
+ELLS = st.sampled_from(["5", "0", "-1", "x", "1.5", "", "99"])
+
+
+@st.composite
+def walls_and_stability_scenarios(draw):
+    """The tree scenario with well-formed replacements in its
+    ``vectors``, ``stability`` and ``characters`` sections, at most one
+    of these or ``decomposition`` mutated, and an argv for one ``walls``
+    or ``stability`` action."""
+    doc = base_doc()
+    del doc["representations"]
+    target = draw(st.sampled_from(
+        [None, None, "vectors", "decomposition", "stability", "characters"]))
+
+    def pick(exact, wire, section):
+        return draw(wire if section == target else exact)
+
+    gaussian = st.fixed_dictionaries({"re": EXACT_RATIONALS, "im": EXACT_RATIONALS})
+    wire_gaussian = st.one_of(
+        st.fixed_dictionaries({"re": WIRE_RATIONALS, "im": WIRE_RATIONALS}),
+        st.sampled_from([{"re": "1"}, {"re": "1", "im": "0", "x": "1"}, [], "1/2", None]),
+    )
+    wire_entries = st.one_of(st.lists(WIRE_RATIONALS, max_size=3), WIRE_RATIONALS)
+    # w and s carry the decomposition, so they are replaced less often
+    for name in draw(st.lists(st.sampled_from("vvuuws"), unique=True, max_size=2)):
+        doc["vectors"][name] = pick(
+            st.lists(st.integers(-3, 3), min_size=2, max_size=2), wire_entries, "vectors")
+    if target == "decomposition":
+        mutation = draw(st.sampled_from(["drop", "mults", "names", "scalar"]))
+        if mutation == "drop":
+            del doc["decomposition"]
+        elif mutation == "mults":
+            for entry in doc["decomposition"]:
+                entry["multiplicity"] = draw(st.one_of(st.integers(-1, 3), WIRE_RATIONALS))
+        elif mutation == "names":
+            doc["decomposition"] = [{"vector": draw(st.sampled_from(VECTOR_NAMES)),
+                                     "multiplicity": draw(st.integers(1, 2))}
+                                    for _ in range(draw(st.integers(0, 3)))]
+        else:
+            doc["decomposition"] = draw(WIRE_RATIONALS)
+    for name in draw(st.lists(st.sampled_from(FUNCTION_NAMES), unique=True, max_size=3)):
+        doc["stability"][name] = pick(
+            st.lists(gaussian, min_size=2, max_size=2),
+            st.one_of(st.lists(wire_gaussian, max_size=3), wire_gaussian), "stability")
+    for name in draw(st.lists(st.sampled_from(("theta", "phi")), unique=True, max_size=2)):
+        doc["characters"][name] = pick(
+            st.lists(EXACT_RATIONALS, min_size=2, max_size=2), wire_entries, "characters")
+    z, v = st.sampled_from(FUNCTION_NAMES), st.sampled_from(VECTOR_NAMES)
+    action = draw(st.sampled_from([
+        ["walls", "gamma", z], ["walls", "slice-check", z], ["walls", "xi", z],
+        ["walls", "correspondence", INLINE, SAMPLE_LISTS],
+        ["walls", "locate", st.sampled_from(("theta", "phi", "psi"))],
+        ["stability", "normalize", z, v], ["stability", "phase", z, v],
+        ["stability", "slope", z, v], ["stability", "weight", z, st.sampled_from(("F", "G"))],
+        ["stability", "theta-unstable", z, v, INLINE], ["stability", "chi-sigma", z],
+        ["stability", "classical-weight", CLASSICAL_TERMS, ELLS],
+        ["stability", "kclass", st.sampled_from(("F", "G"))],
+    ]))
+    argv = [part if isinstance(part, str) else draw(part) for part in action]
+    argv = argv[:len(argv) + draw(st.sampled_from([0, 0, 0, -1]))]  # mostly complete
+    if argv[0] == "walls" and draw(st.booleans()):
+        argv += ["--n", draw(INLINE)] if argv[1] == "locate" else ["--z0", draw(z)]
+    return doc, argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=walls_and_stability_scenarios())
+def test_walls_and_stability_commands_end_in_one_verdict(case):
+    assert_one_verdict(*case)

@@ -25,7 +25,7 @@ from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stability import I
 from quivermoduli.walls import degree_of_class, wall_class
 
-from genutil import random_decomposition, random_gaussian
+from genutil import add_stability, random_decomposition, random_gaussian
 
 HYP = GramLattice(((-2, 2), (2, -2)), even=True)
 DEC = PolystableDecomposition.of([(HYP.vector((1, 0)), 1), (HYP.vector((0, 1)), 1)])
@@ -119,7 +119,7 @@ class TestToCharacter:
     def test_linearity_on_slice(self):
         z1 = on_slice_function(Q(1, 3))
         z2 = on_slice_function(Q(-1, 5))
-        lhs = to_character(z1 + z2, Z0_V, DEC)
+        lhs = to_character(add_stability(z1, z2), Z0_V, DEC)
         rhs1 = to_character(z1, Z0_V, DEC)
         rhs2 = to_character(z2, Z0_V, DEC)
         assert lhs.theta == tuple(a + b for a, b in zip(rhs1.theta, rhs2.theta))
@@ -266,17 +266,22 @@ class TestWallCorrespondence:
             wall_correspondence_holds((1, 0), samples, Z0_V, DEC)
 
     def test_one_degree_vector_per_sample(self, monkeypatch):
+        # Every evaluation of Z, __call__ included, goes through the
+        # integer kernel ``_numerators``.
         evaluations = []
-        original = StabilityFunction.__call__
+        original = StabilityFunction._numerators
 
         def counting(self, v):
             evaluations.append(v)
             return original(self, v)
 
-        monkeypatch.setattr(StabilityFunction, "__call__", counting)
+        monkeypatch.setattr(StabilityFunction, "_numerators", counting)
         samples = [on_slice_function(Q(k, 3)) for k in range(-4, 5)]
         assert wall_correspondence_holds((1, 0), samples, Z0_V, DEC)
         assert len(evaluations) == len(samples) * DEC.size
+        evaluations.clear()
+        assert Z0(DEC.total()) == Z0_V
+        assert len(evaluations) == 1
 
     def test_wall_class_combination(self):
         assert wall_class(DEC, (1, 1)).coords == (1, 1)

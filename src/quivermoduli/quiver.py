@@ -11,9 +11,10 @@ representation.
 from __future__ import annotations
 
 import itertools
-import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Iterable, NamedTuple, Optional
 
 from .decomposition import PolystableDecomposition
@@ -40,10 +41,6 @@ class Arrow(NamedTuple):
     source: int
     target: int
     copy: int
-
-    @property
-    def is_loop(self) -> bool:
-        return self.source == self.target
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ class ExtQuiver:
     def arrow_list(self) -> tuple[Arrow, ...]:
         return self._arrow_list
 
-    # All three are fixed by the frozen fields, so each is built once per
+    # These are fixed by the frozen fields, so each is built once per
     # quiver; the caches live outside the fields, which alone make up
     # __eq__, __hash__ and __repr__.
 
@@ -103,6 +100,10 @@ class ExtQuiver:
             d[i][j] = m
             d[j][i] = m
         return tuple(tuple(row) for row in d)
+
+    @cached_property
+    def _supports(self) -> dict[int, tuple[bool, tuple[tuple[int, int, int], ...]]]:
+        return {}  # filled per support bitmask by _support
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -130,21 +131,16 @@ class ExtQuiver:
     def components(self, vertices: Optional[Iterable[int]] = None) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying graph restricted to
         ``vertices`` (all vertices when omitted)."""
-        verts = set(range(self.num_vertices)) if vertices is None else set(vertices)
+        remaining = set(range(self.num_vertices)) if vertices is None else set(vertices)
         comps = []
-        remaining = set(verts)
         while remaining:
-            start = min(remaining)
-            comp = {start}
-            frontier = [start]
+            comp, frontier = set(), [min(remaining)]
             while frontier:
                 cur = frontier.pop()
-                for nxt in self.adjacent(cur):
-                    if nxt in verts and nxt not in comp:
-                        comp.add(nxt)
-                        frontier.append(nxt)
+                comp.add(cur)
+                remaining.discard(cur)
+                frontier.extend(v for v in self.adjacent(cur) if v in remaining)
             comps.append(tuple(sorted(comp)))
-            remaining -= comp
         return tuple(sorted(comps))
 
 
@@ -178,11 +174,26 @@ def _check_length(q: ExtQuiver, n: Iterable[int]) -> DimVector:
     return n
 
 
+def _support(q: ExtQuiver, mask: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
+    """Whether the vertices of a support bitmask span a connected graph,
+    and the nonzero terms (i, j, c), i <= j, of the quadratic form on
+    them (c = D_ii, or 2 D_ij off the diagonal); cached per quiver."""
+    known = q._supports
+    if mask not in known:
+        verts = [i for i in range(q.num_vertices) if mask >> i & 1]
+        d = q.neg_cartan()
+        known[mask] = len(q.components(verts)) == 1, tuple(
+            (i, j, d[i][j] if i == j else 2 * d[i][j])
+            for i in verts for j in verts if i <= j and d[i][j]
+        )
+    return known[mask]
+
+
 def quadratic_form(q: ExtQuiver, n: Iterable[int]) -> int:
     """Value of the negative-Cartan quadratic form at n."""
     n = _check_length(q, n)
-    d = q.neg_cartan()
-    return sum(n[i] * d[i][j] * n[j] for i in range(len(n)) for j in range(len(n)))
+    _, terms = _support(q, sum(1 << i for i, x in enumerate(n) if x))
+    return sum(c * n[i] * n[j] for i, j, c in terms)
 
 
 def expected_dimension(q: ExtQuiver, n: Iterable[int]) -> int:
@@ -208,29 +219,35 @@ def is_positive_root(q: ExtQuiver, alpha: Iterable[int], n: Iterable[int]) -> bo
         raise ValueError("the zero vector is not a root candidate")
     if any(a < 0 or a > b for a, b in zip(alpha, n)):
         return False
-    support = [i for i, a in enumerate(alpha) if a != 0]
-    if len(q.components(support)) != 1:
-        return False
-    return quadratic_form(q, alpha) + 2 >= 0
+    connected, _ = _support(q, sum(1 << i for i, a in enumerate(alpha) if a))
+    return connected and quadratic_form(q, alpha) + 2 >= 0
+
+
+def _roots_with_forms(q: ExtQuiver, n: DimVector, budget: int) -> list[tuple[DimVector, int]]:
+    """Every positive root alpha <= n in lexicographic order, with its
+    quadratic form.  A second product over the per-coordinate bits
+    walks the box in step and gives each cell's support mask."""
+    box = prod(b + 1 for b in n)
+    if box > budget:
+        raise BudgetExceededError(f"root box of size {box} exceeds the budget {budget}")
+    bits = ([0] + [1 << i] * b for i, b in enumerate(n))
+    cells = zip(itertools.product(*(range(b + 1) for b in n)), itertools.product(*bits))
+    next(cells, None)  # the zero cell
+    out = []
+    for alpha, mask in cells:
+        connected, terms = _support(q, sum(mask))
+        if connected:
+            form = sum(c * alpha[i] * alpha[j] for i, j, c in terms)
+            if form >= -2:
+                out.append((alpha, form))
+    return out
 
 
 def enumerate_positive_roots(
     q: ExtQuiver, n: Iterable[int], budget: int = DEFAULT_ROOT_BUDGET
 ) -> tuple[DimVector, ...]:
     """All positive roots alpha <= n, in lexicographic order."""
-    n = _check_length(q, n)
-    box = 1
-    for b in n:
-        box *= b + 1
-    if box > budget:
-        raise BudgetExceededError(
-            f"root box of size {box} exceeds the budget {budget}"
-        )
-    out = []
-    for alpha in itertools.product(*(range(b + 1) for b in n)):
-        if any(alpha) and is_positive_root(q, alpha, n):
-            out.append(alpha)
-    return tuple(out)
+    return tuple(alpha for alpha, _ in _roots_with_forms(q, _check_length(q, n), budget))
 
 
 @dataclass(frozen=True)
@@ -258,66 +275,48 @@ def simple_rep_exists(
         raise ValueError("the zero dimension vector has no representations")
     if not is_positive_root(q, n, n):
         return SimpleRepVerdict(False, reason="not a positive root")
-    roots = enumerate_positive_roots(q, n, budget=budget)
-    p = {alpha: num_parameters(q, alpha) for alpha in roots}
+    roots = _roots_with_forms(q, n, budget)
 
-    # best[m] = (max total num_parameters over splittings of m into
-    # one or more positive roots, first part of an optimal splitting).
-    # The box is filled in product order, which visits every m - beta
-    # before m; n itself comes last and is handled below.
-    best: dict[DimVector, Optional[tuple[int, Optional[DimVector]]]] = {}
-    cells = itertools.product(*(range(b + 1) for b in n))
-    best[next(cells)] = (0, None)
-    for m in cells:
-        if m == n:
-            break
-        result = None
-        for beta in roots:
-            rest = tuple(map(operator.sub, m, beta))
-            if min(rest) < 0:
-                continue
-            sub = best[rest]
-            if sub is None:
-                continue
-            value = p[beta] + sub[0]
-            if result is None or value > result[0]:
-                result = (value, beta)
-        best[m] = result
+    # Cells are packed into one int each, coordinate 0 highest, in fields
+    # whose top bit is a guard: packed order is lex order, and m - beta
+    # >= 0 iff (packed(m) | guards) - packed(beta) keeps every guard; its
+    # guard-free part is then packed(m - beta).
+    width = max(n).bit_length() + 1
+    shifts = [width * i for i in reversed(range(len(n)))]
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    packed = [sum(a << s for a, s in zip(alpha, shifts)) for alpha, _ in roots]
+    rows = [(pb, form // 2 + 1, k) for k, (pb, (_, form)) in enumerate(zip(packed, roots))]
+    axes = ([a << s for a in range(b + 1)] for b, s in zip(n, shifts))
+    cells = [sum(c) for c in itertools.product(*axes)]
 
-    # Splittings with at least two parts: peel off one proper part.
-    champion: Optional[tuple[int, DimVector]] = None
-    for beta in roots:
-        if beta == n:
-            continue
-        rest = tuple(x - b for x, b in zip(n, beta))
-        if all(x == 0 for x in rest):
-            continue
-        sub = best[rest]
-        if sub is None:
-            continue
-        value = p[beta] + sub[0]
-        if champion is None or value > champion[0]:
-            champion = (value, beta)
-    if champion is None:
+    # value[m] is the largest total num_parameters over splittings of m
+    # into positive roots (of n into two or more), first[m] the first
+    # part of the first optimal splitting in lex order.  Product order
+    # fills every m - beta before m, and below n every cell has a
+    # splitting into unit vectors.  A root beta <= m has packed(beta) <=
+    # packed(m), so only that prefix of the roots is tried.
+    pn = cells[-1]
+    value, first = {0: 0}, {}
+    for m in cells[1:]:
+        top, arg, x = -1, None, m | guards
+        for pb, p, k in rows[:bisect_right(packed, m) - (m == pn)]:
+            rest = x - pb
+            if rest & guards == guards:
+                v = p + value[rest ^ guards]
+                if v > top:
+                    top, arg = v, k
+        value[m], first[m] = top, arg
+    p_n, champion = rows[-1][1], value[pn]
+    if champion < 0 or p_n > champion:
         return SimpleRepVerdict(True)
-    p_n = num_parameters(q, n)
-    if p_n > champion[0]:
-        return SimpleRepVerdict(True)
-    parts = [champion[1]]
-    rest = tuple(x - b for x, b in zip(n, champion[1]))
-    while any(rest):
-        _, beta = best[rest]
-        parts.append(beta)
-        rest = tuple(x - b for x, b in zip(rest, beta))
+    parts, rest = [], pn
+    while rest:
+        k = first[rest]
+        parts.append(roots[k][0])
+        rest -= packed[k]
     parts.sort(reverse=True)
-    return SimpleRepVerdict(
-        False,
-        reason=(
-            f"splitting drops no parameters: p{tuple(n)} = {p_n} <= "
-            f"{champion[0]} = sum over parts"
-        ),
-        violating_parts=tuple(parts),
-    )
+    reason = f"splitting drops no parameters: p{n} = {p_n} <= {champion} = sum over parts"
+    return SimpleRepVerdict(False, reason=reason, violating_parts=tuple(parts))
 
 
 def pairwise_merge_check(v_i, v_j) -> bool:

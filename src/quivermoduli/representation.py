@@ -100,6 +100,19 @@ class DoubleQuiverRep:
 
 
 BlockEndomorphism = tuple[Mat, ...]
+IntMat = tuple[tuple[int, ...], ...]
+
+
+def _integral(mat: Mat) -> tuple[IntMat, int]:
+    """``mat`` as an integer matrix and the lcm of its denominators,
+    which divides it back."""
+    den = lcm(*(e.denominator for row in mat for e in row))
+    return tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in mat), den
+
+
+def _int_matmul(a: IntMat, b: IntMat) -> IntMat:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def moment_map(rep: DoubleQuiverRep) -> BlockEndomorphism:
@@ -109,12 +122,23 @@ def moment_map(rep: DoubleQuiverRep) -> BlockEndomorphism:
     minus y_e x_e over arrows starting at i; for a loop this is the
     literal commutator.  The blockwise traces always sum to zero.
     """
-    blocks = [linalg.zeros(m, m) for m in rep.n]
+    # Each map is cleared to an integer matrix over the lcm of its
+    # denominators, and each block summed over one common denominator.
+    terms: list[list[tuple[int, IntMat, int]]] = [[] for _ in rep.n]
     for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
         if rep.n[arrow.source] == 0 or rep.n[arrow.target] == 0:
             continue  # both products vanish identically
-        blocks[arrow.target] = linalg.add(blocks[arrow.target], linalg.matmul(x, y))
-        blocks[arrow.source] = linalg.sub(blocks[arrow.source], linalg.matmul(y, x))
+        (xi, dx), (yi, dy) = _integral(x), _integral(y)
+        terms[arrow.target].append((1, _int_matmul(xi, yi), dx * dy))
+        terms[arrow.source].append((-1, _int_matmul(yi, xi), dx * dy))
+    blocks = []
+    for m, vertex_terms in zip(rep.n, terms):
+        den = lcm(*(d for _, _, d in vertex_terms))
+        scaled = [(sign * (den // d), p) for sign, p, d in vertex_terms]
+        blocks.append(tuple(
+            tuple(Fraction(sum(k * p[r][c] for k, p in scaled), den) for c in range(m))
+            for r in range(m)
+        ))
     return tuple(blocks)
 
 
@@ -250,7 +274,7 @@ class _BudgetMeter:
 
 
 IntVec = Sequence[int]
-OutMaps = list[list[tuple[tuple[tuple[int, ...], ...], int]]]
+OutMaps = list[list[tuple[IntMat, int]]]
 
 
 def _out_maps(rep: DoubleQuiverRep) -> OutMaps:
@@ -262,11 +286,7 @@ def _out_maps(rep: DoubleQuiverRep) -> OutMaps:
     for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
         for mat, source, target in ((x, arrow.source, arrow.target),
                                     (y, arrow.target, arrow.source)):
-            den = lcm(*(e.denominator for row in mat for e in row))
-            cleared = tuple(
-                tuple(e.numerator * (den // e.denominator) for e in row) for row in mat
-            )
-            out[source].append((cleared, target))
+            out[source].append((_integral(mat)[0], target))
     return out
 
 

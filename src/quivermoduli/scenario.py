@@ -298,13 +298,20 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     if q_doc is not None and not isinstance(q_doc, dict):
         violations.append(("$.quiver", "expected {loops, arrows}"))
     elif q_doc is not None:
-        try:
-            quiver = ExtQuiver(
-                tuple(q_doc.get("loops", ())),
-                tuple(tuple(a) for a in q_doc.get("arrows", ())),
-            )
-        except (QuiverModuliError, TypeError, OverflowError) as exc:
-            violations.append(("$.quiver", str(exc)))
+        loops, arrows = q_doc.get("loops", []), q_doc.get("arrows", [])
+        if not (isinstance(loops, (list, tuple)) and isinstance(arrows, (list, tuple))
+                and all(isinstance(a, (list, tuple)) and len(a) == 3 for a in arrows)):
+            violations.append(("$.quiver", "expected {loops, arrows} with arrows [i, j, m]"))
+        else:
+            found = len(violations)
+            loops = tuple(_parse_int(g, "$.quiver", violations) for g in loops)
+            arrows = tuple(tuple(_parse_int(x, "$.quiver", violations) for x in a)
+                           for a in arrows)
+            if len(violations) == found:
+                try:
+                    quiver = ExtQuiver(loops, arrows)
+                except QuiverModuliError as exc:
+                    violations.append(("$.quiver", str(exc)))
 
     budgets = dict(DEFAULT_BUDGETS)
     for key, value in _section(doc, "budgets", "integer", violations).items():

@@ -32,7 +32,12 @@ from .lattice import (
     signature,
     square,
 )
-from .quiver import DEFAULT_ROOT_BUDGET, build_ext_quiver, simple_rep_exists
+from .quiver import (
+    DEFAULT_ROOT_BUDGET,
+    build_ext_quiver,
+    pairwise_merge_check,
+    simple_rep_exists,
+)
 from .stability import GaussianRational, StabilityFunction
 
 
@@ -232,9 +237,7 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
     # (1) merge test: a pair that merges superadditively deforms.
     for i in range(s):
         for j in range(i + 1, s):
-            merged = square(classes[i] + classes[j]) + 2
-            separate = (squares[i] + 2) + (squares[j] + 2)
-            if merged > separate:
+            if pairwise_merge_check(classes[i], classes[j]):
                 trace.append(
                     _trace("merge", "stable-deformation", pair=[i, j],
                            pairing=pair[i][j])

@@ -1,12 +1,16 @@
-"""Regressions for the integer kernel under the lattice box and the
-totally-semistable wall detector.
+"""Regressions for the integer kernels: the lattice box and the
+totally-semistable wall detector, the wall dictionary, the root and
+splitting-table kernel, and the moment map.
 
 The box order is part of the witness contract: the first isotropic
 vector, the first criterion-A witness and the order in which a custom
 effectivity predicate is consulted all follow it.  These tests pin the
 enumeration to its defining filtered product, the predicate's calls to
 the box order, and the detector's answers over the criterion-7 grid to
-a digest recorded from the object-level implementation.
+a digest recorded from the object-level implementation.  The other
+kernels are pinned the same way, each by a digest recorded from the
+Fraction or per-cell tuple implementation it replaced; the splitting
+table is also checked against a brute-force multiset oracle.
 """
 
 from __future__ import annotations
@@ -22,23 +26,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivermoduli import (
+    DoubleQuiverRep,
+    ExtQuiver,
     GramLattice,
     HyperbolicPair,
     PolystableDecomposition,
     StabilityFunction,
     degree_vector,
     detect_totally_semistable,
+    enumerate_positive_roots,
     find_isotropic,
+    moment_map,
     on_slice,
     pairing,
+    simple_rep_exists,
     to_character,
     wall_correspondence_holds,
 )
 from quivermoduli.errors import QuiverModuliError
 from quivermoduli.lattice import iter_box
+from quivermoduli.quiver import DEFAULT_ROOT_BUDGET
 from quivermoduli.scenario import to_wire
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.walls import degree_of_class
+
+from genutil import random_quiver
 
 
 def filtered_box(rank, bound):
@@ -297,7 +309,7 @@ def outcome(call):
     """The wire form of a result, or the class name of the error raised."""
     try:
         return to_wire(call())
-    except QuiverModuliError as exc:
+    except (QuiverModuliError, ValueError) as exc:
         return ["raised", type(exc).__name__]
 
 
@@ -326,3 +338,175 @@ def test_wall_dictionary_matches_recorded_digest():
         lines.append(json.dumps(record))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == WALL_DICTIONARY_DIGEST
+
+
+# -- positive roots and the Crawley-Boevey splitting table -------------
+
+ROOT_TOPS = (8, 4, 3, 2)  # per-coordinate box bound for 1-4 vertices
+
+
+def root_table_grid(count=2000, seed=71):
+    """Quivers of 1-4 vertices with 0-2 loops and arrow multiplicities
+    0-3, a dimension vector in the box up to (4, 4) or (2, 2, 2, 2),
+    and a root budget that is the default, the box, or one cell short."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        s = 1 + k % 4
+        loops = tuple(rng.randint(0, 2) for _ in range(s))
+        arrows = tuple(
+            (i, j, rng.randint(0, 3)) for i, j in itertools.combinations(range(s), 2)
+        )
+        n = tuple(rng.randint(0, ROOT_TOPS[s - 1]) for _ in range(s))
+        box = 1
+        for b in n:
+            box *= b + 1
+        budget = rng.choice((DEFAULT_ROOT_BUDGET, DEFAULT_ROOT_BUDGET, box, box - 1))
+        cases.append((ExtQuiver(loops, arrows), n, budget))
+    return cases
+
+
+def verdict_fields(verdict):
+    return verdict.exists, verdict.reason, verdict.violating_parts
+
+
+# sha256 of enumerate_positive_roots and the full SimpleRepVerdict over
+# the 2000-case grid, one JSON line per case, recorded from the per-cell
+# tuple implementation.
+ROOT_TABLE_DIGEST = "4ab0e6a7279fdcc5d5f5561c8c825ed458899f45fb91bd306c1cb02c0a634acd"
+
+
+def test_roots_and_splitting_table_match_recorded_digest():
+    lines = []
+    for q, n, budget in root_table_grid():
+        lines.append(json.dumps([
+            q.loops, q.arrows, n, budget,
+            outcome(lambda: enumerate_positive_roots(q, n, budget=budget)),
+            outcome(lambda: verdict_fields(simple_rep_exists(q, n, budget=budget))),
+        ]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ROOT_TABLE_DIGEST
+
+
+def brute_quadratic_form(q, alpha):
+    """sum_i (2 g_i - 2) a_i^2 + 2 sum_{i<j} m_ij a_i a_j."""
+    value = sum((2 * g - 2) * a * a for g, a in zip(q.loops, alpha))
+    return value + sum(2 * m * alpha[i] * alpha[j] for i, j, m in q.arrows)
+
+
+def brute_connected(q, support):
+    """Union-find over the arrows with both ends in ``support``."""
+    parent = {i: i for i in support}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j, _ in q.arrows:
+        if i in parent and j in parent:
+            parent[find(i)] = find(j)
+    return len({find(i) for i in support}) == 1
+
+
+def brute_roots(q, n):
+    return tuple(
+        alpha for alpha in itertools.product(*(range(b + 1) for b in n))
+        if any(alpha)
+        and brute_connected(q, [i for i, a in enumerate(alpha) if a])
+        and brute_quadratic_form(q, alpha) + 2 >= 0
+    )
+
+
+def root_multisets(roots, rest, start=0):
+    """Every multiset of ``roots[start:]`` summing to ``rest``, each
+    listed once with its parts in nondecreasing index order."""
+    if not any(rest):
+        yield ()
+        return
+    for k in range(start, len(roots)):
+        beta = roots[k]
+        if all(b <= r for b, r in zip(beta, rest)):
+            smaller = tuple(r - b for r, b in zip(rest, beta))
+            for tail in root_multisets(roots, smaller, k):
+                yield (beta,) + tail
+
+
+def oracle_cases():
+    """2-vertex quivers at n <= (4, 4) and 3-vertex ones at n <= (2, 2, 2)."""
+    rng = random.Random(73)
+    cases = []
+    for s, top, count in ((2, 4, 120), (3, 2, 60)):
+        for _ in range(count):
+            loops = tuple(rng.randint(0, 2) for _ in range(s))
+            arrows = tuple(
+                (i, j, rng.randint(0, 3)) for i, j in itertools.combinations(range(s), 2)
+            )
+            n = tuple(rng.randint(0, top) for _ in range(s))
+            if any(n):
+                cases.append((ExtQuiver(loops, arrows), n))
+    return cases
+
+
+@pytest.mark.parametrize("q,n", oracle_cases())
+def test_splitting_table_matches_multiset_oracle(q, n):
+    roots = brute_roots(q, n)
+    assert enumerate_positive_roots(q, n) == roots
+    verdict = simple_rep_exists(q, n)
+    if n not in roots:
+        assert verdict_fields(verdict) == (False, "not a positive root", None)
+        return
+    p = {beta: brute_quadratic_form(q, beta) // 2 + 1 for beta in roots}
+    values = [
+        sum(p[beta] for beta in parts)
+        for parts in root_multisets(roots, n) if len(parts) >= 2
+    ]
+    best = max(values, default=None)
+    assert verdict.exists == (best is None or p[n] > best)
+    if verdict.exists:
+        assert verdict_fields(verdict) == (True, None, None)
+        return
+    parts = verdict.violating_parts
+    assert len(parts) >= 2 and list(parts) == sorted(parts, reverse=True)
+    assert all(beta in p for beta in parts)
+    assert tuple(map(sum, zip(*parts))) == n
+    assert sum(p[beta] for beta in parts) == best
+    assert verdict.reason == (
+        f"splitting drops no parameters: p{n} = {p[n]} <= {best} = sum over parts"
+    )
+
+
+# -- the moment map on cleared numerators ------------------------------
+
+def moment_map_cases(count=150, seed=79):
+    """Representations of random quivers of 1-3 vertices at n <= 3 per
+    vertex, with entries from random_rational (zeros, small and large
+    denominators)."""
+    rng = random.Random(seed)
+    reps = []
+    for _ in range(count):
+        q = random_quiver(rng)
+        n = tuple(rng.randint(0, 3) for _ in range(q.num_vertices))
+
+        def block(rows, cols):
+            return tuple(
+                tuple(random_rational(rng) for _ in range(cols)) for _ in range(rows)
+            )
+
+        arrows = q.arrow_list()
+        xs = tuple(block(n[a.target], n[a.source]) for a in arrows)
+        ys = tuple(block(n[a.source], n[a.target]) for a in arrows)
+        reps.append(DoubleQuiverRep(q, n, xs, ys))
+    return reps
+
+
+# sha256 of repr(moment_map(rep)) over the 150 cases, one line each,
+# recorded from the per-arrow Fraction matrix products.
+MOMENT_MAP_DIGEST = "9e86f871ebb932b6982bee14b83e23cc0a0b015c3b2ada7ec9236e4a9be1a4ea"
+
+
+def test_moment_map_matches_recorded_digest():
+    # repr names each entry's type, so Fraction blocks stay Fractions
+    lines = [repr(moment_map(rep)) for rep in moment_map_cases()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MOMENT_MAP_DIGEST

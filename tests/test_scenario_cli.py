@@ -124,6 +124,24 @@ class TestLoadScenario:
             load_scenario(doc)
         assert (path, f"not an integer: {value!r}") in err.value.violations
 
+    @pytest.mark.parametrize("quiver", [
+        {"loops": ["x", 0]},
+        {"loops": [1.5, 0]},
+        {"loops": "12"},
+        {"loops": [1, 0], "arrows": [[0, 1]]},
+        {"loops": [1, 0], "arrows": [5]},
+        {"loops": [1, 0], "arrows": [[0, 1, "x"]]},
+        {"loops": [1, 0], "arrows": [[0, 1, 0.5]]},
+    ])
+    def test_malformed_quiver_is_a_violation(self, quiver):
+        # Entries that int() would truncate, split or reject are reported,
+        # not read.
+        doc = base_doc()
+        doc["quiver"] = quiver
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert "$.quiver" in [path for path, _ in err.value.violations]
+
     @pytest.mark.parametrize("field,path", [
         (("representations", "R", "x", 0, 0, 0), "$.representations.R"),
         (("representations", "R", "n", 0), "$.representations.R"),
@@ -586,4 +604,55 @@ def walls_and_stability_scenarios(draw):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(case=walls_and_stability_scenarios())
 def test_walls_and_stability_commands_end_in_one_verdict(case):
+    assert_one_verdict(*case)
+
+
+# --- fuzzing the quiver commands -------------------------------------------
+
+COUNTS = st.one_of(st.integers(-1, 3), WIRE_RATIONALS)
+DIMENSION_FLAGS = st.one_of(
+    # wrong lengths, negative and non-integer entries, and boxes just past
+    # the default root budget of 200 000 cells (200 001 and 200 704)
+    st.sampled_from(["1,1", "2,1", "1", "1,1,1", "0,0", "-1,2", "2,-1", "1.5,1", "x",
+                     "", ",", "1,,1", " 1,1", "200000", "447,447", "1,1,1,1,1"]),
+    st.lists(st.integers(-1, 5), min_size=1, max_size=4).map(
+        lambda n: ",".join(map(str, n))),
+)
+
+
+@st.composite
+def quiver_scenarios(draw):
+    """The tree scenario with an explicit ``quiver`` section, well-formed
+    or mutated (loops, an extra or malformed arrow, a bad multiplicity,
+    a scalar section), a root budget, and an argv for ``quiver build``,
+    ``dim``, ``roots`` or ``simple-exists``."""
+    doc = base_doc()
+    del doc["representations"]
+    vertices = draw(st.integers(1, 3))
+    loops = draw(st.lists(st.integers(0, 2), min_size=vertices, max_size=vertices))
+    arrows = [[i, j, draw(st.integers(0, 3))]
+              for i in range(vertices) for j in range(i + 1, vertices)]
+    mutation = draw(st.sampled_from(
+        [None, None, None, "loops", "arrow", "multiplicity", "scalar"]))
+    if mutation == "loops":
+        loops = draw(st.one_of(st.lists(COUNTS, max_size=3), COUNTS))
+    elif mutation == "arrow":
+        # out of range, self-arrows, duplicates, wrong lengths, scalars
+        arrows.append(draw(st.one_of(st.lists(st.integers(-1, 3), max_size=4), COUNTS)))
+    elif mutation == "multiplicity" and arrows:
+        draw(st.sampled_from(arrows))[2] = draw(COUNTS)
+    doc["quiver"] = draw(COUNTS) if mutation == "scalar" else {"loops": loops, "arrows": arrows}
+    doc["budgets"]["root_budget"] = draw(st.sampled_from([200_000, 200_000, 50, 1, 0]))
+    action = draw(st.sampled_from(["build", "dim", "roots", "simple-exists"]))
+    argv = ["quiver", action]
+    if action != "build" and draw(st.booleans()):
+        argv += ["--n", draw(DIMENSION_FLAGS)]
+    if draw(st.booleans()):
+        argv = ["--budget", str(draw(st.integers(-1, 300)))] + argv
+    return doc, argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=quiver_scenarios())
+def test_quiver_commands_end_in_one_verdict(case):
     assert_one_verdict(*case)

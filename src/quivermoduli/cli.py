@@ -21,7 +21,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg, representation, stability, stratum, walls
-from .errors import QuiverModuliError, ScenarioError, UnknownCommandError
+from .errors import (
+    BudgetExceededError,
+    QuiverModuliError,
+    ScenarioError,
+    UnknownCommandError,
+)
 from .lattice import classify, find_isotropic, pairing, signature, square
 from .quiver import (
     enumerate_positive_roots,
@@ -34,6 +39,12 @@ from .quiver import (
 from .scenario import Scenario, load_scenario, to_wire
 from .stability import WeightedFiltration, normalize
 from .stratum import HyperbolicPair, analyze_stratum, detect_totally_semistable
+
+
+# The most cells past the origin that a box scan started by the CLI
+# (``lattice isotropic``, ``wall classify-tss``) may visit: (2 * bound +
+# 1) ** rank - 1.  A full scan of 10**6 cells takes a few seconds.
+MAX_BOX_CELLS = 1_000_000
 
 
 @dataclass
@@ -130,7 +141,13 @@ def _root_budget(sc: Scenario, ov: Overrides) -> int:
 
 
 def _box_bound(sc: Scenario, ov: Overrides) -> int:
-    return ov.bound if ov.bound is not None else sc.budgets["box_bound"]
+    bound = ov.bound if ov.bound is not None else sc.budgets["box_bound"]
+    if (2 * max(bound, 0) + 1) ** sc.lattice.rank - 1 > MAX_BOX_CELLS:
+        raise BudgetExceededError(
+            f"box bound {bound} in rank {sc.lattice.rank} spans more than "
+            f"{MAX_BOX_CELLS} cells"
+        )
+    return bound
 
 
 def _walls(sc: Scenario, args: dict, ov: Overrides):

@@ -161,6 +161,16 @@ def _dot(coeffs: Sequence[int], nums: Sequence[int]) -> int:
     return sum(map(mul, coeffs, nums))
 
 
+def _coefficients(coeffs: Sequence[int], decomp: PolystableDecomposition) -> tuple[int, ...]:
+    """Integer coefficients, one per summand of ``decomp``."""
+    coeffs = tuple(int(a) for a in coeffs)
+    if len(coeffs) != decomp.size:
+        raise LatticeMismatchError(
+            f"{len(coeffs)} coefficients for {decomp.size} summands"
+        )
+    return coeffs
+
+
 def _require_on_slice(nums: Sequence[int], decomp: PolystableDecomposition) -> None:
     if _dot(decomp.multiplicities, nums) != 0:
         raise LatticeMismatchError(
@@ -186,8 +196,9 @@ def degree_of_class(
     coeffs: Sequence[int],
 ) -> Fraction:
     """Degree of the combination sum(a_i v_i), extended linearly."""
+    coeffs = _coefficients(coeffs, decomp)
     nums, den = _degree_numerators(z, z0_of_total, decomp)
-    return Fraction(_dot([int(a) for a in coeffs], nums), den)
+    return Fraction(_dot(coeffs, nums), den)
 
 
 def on_slice(
@@ -236,9 +247,10 @@ def wall_correspondence_holds(
     one integer: the degree of sum(alpha_i v_i) and theta . alpha are
     both sum(alpha_i N_i) over the same positive denominator.  So every
     sample on the slice satisfies the dictionary, and what is left to
-    check is that each sample lies on the slice.
+    check is that each sample lies on the slice, after ``alpha`` has
+    one coefficient per summand.
     """
-    alpha = tuple(int(a) for a in alpha)
+    _coefficients(alpha, decomp)
     for z in samples:
         nums, _ = _degree_numerators(z, z0_of_total, decomp)
         _require_on_slice(nums, decomp)

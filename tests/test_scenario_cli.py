@@ -9,11 +9,12 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quivermoduli import cli
 from quivermoduli.cli import COMMANDS, Overrides, main, run_command
-from quivermoduli.errors import ScenarioError, UnknownCommandError
+from quivermoduli.errors import BudgetExceededError, ScenarioError, UnknownCommandError
 from quivermoduli.scenario import MAX_REP_SQUARES, load_scenario
 
 
@@ -43,6 +44,12 @@ def base_doc():
         },
         "budgets": {"box_bound": 3},
     }
+
+
+def diagonal_doc(rank):
+    """A scenario with the Gram matrix 2 * I of the given rank."""
+    gram = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    return {"lattice": {"gram": gram}}
 
 
 @pytest.fixture
@@ -363,6 +370,37 @@ class TestMainEntry:
             {"error": "domain", "message": "verdict inconclusive has no product shape"}
         ]
 
+    @pytest.mark.parametrize("doc, argv", [
+        (diagonal_doc(10), ["lattice", "isotropic"]),
+        (base_doc(), ["--bound", "100000", "lattice", "isotropic"]),
+        (base_doc(), ["--bound", "100000", "wall", "classify-tss", "v"]),
+    ], ids=["rank-10", "isotropic-bound", "classify-tss-bound"])
+    def test_box_past_the_cap_exit_one(self, capsys, doc, argv):
+        # Each box would take hours to scan; the refusal comes first.
+        start = time.perf_counter()
+        rc = main(["--scenario", json.dumps(doc)] + argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "domain"
+
+    def test_box_at_the_cap_is_scanned(self, scenario, monkeypatch):
+        # In rank 2, bound 2 spans 24 cells and bound 3 spans 48.
+        monkeypatch.setattr(cli, "MAX_BOX_CELLS", 24)
+        report = run_command(scenario, "lattice isotropic", {}, Overrides(bound=2))
+        assert report.results["searched_bound"] == 2
+        with pytest.raises(BudgetExceededError):
+            run_command(scenario, "lattice isotropic", {}, Overrides(bound=3))
+
+    @pytest.mark.parametrize("alpha", ["7", "1,0,0,0,0,0"])
+    def test_alpha_of_the_wrong_length_exit_one(self, tmp_path, capsys, alpha):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(base_doc()))
+        rc = main(["--scenario", str(path), "walls", "correspondence", alpha, "Z"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "domain"
+
     def test_usage_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(base_doc()))
@@ -655,4 +693,110 @@ def quiver_scenarios(draw):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(case=quiver_scenarios())
 def test_quiver_commands_end_in_one_verdict(case):
+    assert_one_verdict(*case)
+
+
+# --- fuzzing the lattice, wall and stratum commands ------------------------
+
+GRAM_ENTRIES = st.one_of(
+    st.integers(-3, 3), st.sampled_from([10**30, -(10**40)]), WIRE_RATIONALS)
+# Rank-2 Gram matrices on which w = (1, 0) and s = (0, 1) form a valid
+# decomposition: the tree, split, merge, isotropic and hyperbolic shapes.
+DECOMPOSABLE_GRAMS = (((2, 1), (1, -2)), ((2, 0), (0, -2)), ((2, 2), (2, -2)),
+                      ((2, 1), (1, 0)), ((4, 1), (1, -2)))
+# Mostly small boxes; the large values are past MAX_BOX_CELLS in every
+# rank from 1 up, and -1 is below every search's minimum bound.
+BOUNDS = st.one_of(st.integers(-1, 3), st.sampled_from([24, 100_000, 10**6]))
+BUDGETS = st.one_of(st.integers(-1, 300), st.just(10**6))
+
+
+@st.composite
+def lattice_scenarios(draw):
+    """A scenario with a symmetric integer Gram matrix of rank 0 to 10
+    (mostly 2), the basis vectors w and s as a decomposition, at most
+    one of ``lattice.gram``, ``vectors`` and ``decomposition`` mutated,
+    box and root budgets, and an argv for one ``lattice``, ``wall`` or
+    ``stratum`` action."""
+    rank = draw(st.sampled_from([0, 1, 2, 2, 2, 2, 2, 3, 4, 10]))
+    even = draw(st.booleans())
+    decomposable = rank == 2 and even and draw(st.booleans())
+    if decomposable:
+        gram = [list(row) for row in draw(st.sampled_from(DECOMPOSABLE_GRAMS))]
+    else:
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = draw(st.integers(-2, 2).map(lambda x: 2 * x) if even
+                              else st.integers(-3, 3))
+            for j in range(i + 1, rank):
+                gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    target = draw(st.sampled_from(
+        [None, None, "gram", "vectors", "decomposition"]))
+    if target == "gram":
+        mutation = draw(st.sampled_from(["entry", "asymmetric", "ragged", "scalar"]))
+        if mutation == "entry" and rank:
+            gram[draw(st.integers(0, rank - 1))][draw(st.integers(0, rank - 1))] = draw(
+                GRAM_ENTRIES)
+        elif mutation == "asymmetric" and rank > 1:
+            gram[0][1] = gram[1][0] + draw(st.integers(1, 3))
+        elif mutation == "ragged" and rank:
+            gram[draw(st.integers(0, rank - 1))].append(draw(st.integers(-3, 3)))
+        elif mutation == "scalar":
+            gram = draw(GRAM_ENTRIES)
+    vectors = {name: [int(i == k) for i in range(rank)] for k, name in enumerate("ws")}
+    vectors["v"] = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    if target == "vectors":
+        for name in draw(st.lists(st.sampled_from("wsv"), unique=True, min_size=1)):
+            vectors[name] = draw(st.one_of(
+                st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                st.lists(GRAM_ENTRIES, max_size=3), GRAM_ENTRIES))
+    doc = {
+        "lattice": {"gram": gram, "even": even},
+        "vectors": vectors,
+        "decomposition": [{"vector": "w", "multiplicity": 1},
+                          {"vector": "s", "multiplicity": draw(st.integers(1, 2))}],
+        "stability": {"Z0": [{"re": draw(EXACT_RATIONALS), "im": "1/2"}] * rank},
+        "budgets": {"box_bound": draw(st.sampled_from([1, 2, 6])),
+                    "root_budget": draw(st.sampled_from([200_000, 50, 1]))},
+    }
+    if target == "decomposition":
+        mutation = draw(st.sampled_from(["drop", "mults", "names", "scalar"]))
+        if mutation == "drop":
+            del doc["decomposition"]
+        elif mutation == "mults":
+            for entry in doc["decomposition"]:
+                entry["multiplicity"] = draw(st.one_of(st.integers(-1, 3), WIRE_RATIONALS))
+        elif mutation == "names":
+            doc["decomposition"] = [{"vector": draw(st.sampled_from(VECTOR_NAMES)),
+                                     "multiplicity": draw(st.integers(1, 2))}
+                                    for _ in range(draw(st.integers(0, 3)))]
+        else:
+            doc["decomposition"] = draw(WIRE_RATIONALS)
+    elif not decomposable and draw(st.booleans()):
+        del doc["decomposition"]  # w and s rarely make a valid one here
+    v = st.sampled_from(VECTOR_NAMES)
+    action = draw(st.sampled_from([
+        ["lattice", "pair", v, v], ["lattice", "square", v], ["lattice", "classify", v],
+        ["lattice", "signature"], ["lattice", "isotropic"], ["wall", "classify-tss", v],
+        ["stratum", "analyze"], ["stratum", "product-shape"], ["stratum", "simple-bridge"],
+    ]))
+    argv = [part if isinstance(part, str) else draw(part) for part in action]
+    argv = argv[:len(argv) + draw(st.sampled_from([0, 0, 0, 0, 0, -1]))]  # mostly complete
+    if argv[:2] == ["wall", "classify-tss"] and draw(st.booleans()):
+        argv += ["--z0", draw(st.sampled_from(FUNCTION_NAMES))]
+    if draw(st.booleans()):
+        argv = ["--bound", str(draw(BOUNDS))] + argv
+    if draw(st.booleans()):
+        argv = ["--budget", str(draw(BUDGETS))] + argv
+    return doc, argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=lattice_scenarios())
+# boxes past MAX_BOX_CELLS: hours of scanning without the cap
+@example(case=(diagonal_doc(10), ["lattice", "isotropic"]))
+@example(case=(diagonal_doc(4), ["--bound", "24", "lattice", "isotropic"]))
+@example(case=(base_doc(), ["--bound", "100000", "lattice", "isotropic"]))
+@example(case=(base_doc(), ["--bound", "1000000", "wall", "classify-tss", "v"]))
+@example(case=(base_doc(), ["--bound", "500", "wall", "classify-tss", "v"]))
+def test_lattice_wall_and_stratum_commands_end_in_one_verdict(case):
     assert_one_verdict(*case)

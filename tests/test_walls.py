@@ -265,6 +265,14 @@ class TestWallCorrespondence:
         with pytest.raises(LatticeMismatchError):
             wall_correspondence_holds((1, 0), samples, Z0_V, DEC)
 
+    @pytest.mark.parametrize("alpha", [(7,), (1, 0, 0, 0, 0, 0), ()])
+    def test_alpha_of_the_wrong_length_rejected(self, alpha):
+        z = on_slice_function(Q(1, 3))
+        with pytest.raises(LatticeMismatchError):
+            wall_correspondence_holds(alpha, [z], Z0_V, DEC)
+        with pytest.raises(LatticeMismatchError):
+            degree_of_class(z, Z0_V, DEC, alpha)
+
     def test_one_degree_vector_per_sample(self, monkeypatch):
         # Every evaluation of Z, __call__ included, goes through the
         # integer kernel ``_numerators``.

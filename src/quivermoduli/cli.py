@@ -5,6 +5,15 @@ from the fixed command set, and emits one deterministic JSON report:
 identical scenario + seed + command always produce an identical
 results payload (timing is reported but excluded from the digest).
 
+``COMMANDS`` maps each command to its handler and the names of its
+positional arguments and flags.  ``run_command`` turns each argument
+string into its library value once, by the lookup that ``_LOOKUPS``
+keeps under the argument's name (a vector name into its vector, a comma
+list into ints, ...), and passes the values to the handler as keywords;
+an absent flag is left out.  The values a scenario implies (its
+decomposition, quiver and dimension vector, root budget, box bound and
+Z0) come from one helper each.
+
 Exit codes: 0 success (honest not-found/incomplete results included),
 1 domain error, 2 usage or schema error.
 """
@@ -21,12 +30,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg, representation, stability, stratum, walls
-from .errors import (
-    BudgetExceededError,
-    QuiverModuliError,
-    ScenarioError,
-    UnknownCommandError,
-)
+from .errors import BudgetExceededError, QuiverModuliError, ScenarioError, UnknownCommandError
 from .lattice import classify, find_isotropic, pairing, signature, square
 from .quiver import (
     enumerate_positive_roots,
@@ -41,9 +45,9 @@ from .stability import WeightedFiltration, normalize
 from .stratum import HyperbolicPair, analyze_stratum, detect_totally_semistable
 
 
-# The most cells past the origin that a box scan started by the CLI
-# (``lattice isotropic``, ``wall classify-tss``) may visit: (2 * bound +
-# 1) ** rank - 1.  A full scan of 10**6 cells takes a few seconds.
+# The most cells past the origin, (2 * bound + 1) ** rank - 1, that a box
+# scan started by the CLI (``lattice isotropic``, ``wall classify-tss``)
+# may visit.  A full scan of 10**6 cells takes a few seconds.
 MAX_BOX_CELLS = 1_000_000
 
 
@@ -84,36 +88,59 @@ class Report:
         return json.dumps(doc, sort_keys=True)
 
 
-# kind of named entry -> the Scenario section holding it
-_SECTIONS = {
-    "vector": "vectors",
-    "stability function": "stability",
-    "character": "characters",
-    "filtration": "filtrations",
-    "representation": "representations",
+def _entry(kind: str, section: str) -> Callable:
+    """The lookup of a named entry of ``kind`` in a Scenario section."""
+    def lookup(sc: Scenario, name: str):
+        entries = getattr(sc, section)
+        if name not in entries:
+            raise UnknownCommandError(f"unknown {kind} {name!r}")
+        return entries[name]
+    return lookup
+
+
+def _entries(lookup: Callable) -> Callable:
+    """The lookup of a comma list of names, each by ``lookup``."""
+    return lambda sc, names: [lookup(sc, name) for name in names.split(",") if name]
+
+
+_vector = _entry("vector", "vectors")
+_function = _entry("stability function", "stability")
+
+
+def _ints(sc: Scenario, text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _filtration(sc: Scenario, name: str) -> WeightedFiltration:
+    steps = _entry("filtration", "filtrations")(sc, name)
+    return WeightedFiltration(tuple((w, _vector(sc, v)) for w, v in steps))
+
+
+def _terms(sc: Scenario, text: str) -> list[tuple[int, list[int]]]:
+    try:
+        return [(int(w), [int(c) for c in coeffs]) for w, coeffs in json.loads(text)]
+    except (TypeError, OverflowError) as exc:
+        # a non-list term or coefficient list, or an infinite number
+        raise ValueError(f"terms must be [[weight, [coefficients]], ...]: {exc}") from exc
+
+
+# argument or flag name -> its lookup (scenario, string) -> library value
+_LOOKUPS: dict[str, Callable] = {
+    "a": _vector,
+    "b": _vector,
+    "v": _vector,
+    "z": _function,
+    "z0": _function,
+    "theta": _entry("character", "characters"),
+    "rep": _entry("representation", "representations"),
+    "filtration": _filtration,
+    "classes": _entries(_vector),
+    "samples": _entries(_function),
+    "alpha": _ints,
+    "n": _ints,
+    "terms": _terms,
+    "ell": lambda sc, text: int(text),
 }
-
-
-def _named(sc: Scenario, kind: str, name: str):
-    entries = getattr(sc, _SECTIONS[kind])
-    if name not in entries:
-        raise UnknownCommandError(f"unknown {kind} {name!r}")
-    return entries[name]
-
-
-# positional argument -> kind of named entry it refers to
-_ARG_KINDS = {
-    "a": "vector",
-    "b": "vector",
-    "v": "vector",
-    "z": "stability function",
-    "theta": "character",
-    "rep": "representation",
-}
-
-
-def _arg(sc: Scenario, args: dict, key: str):
-    return _named(sc, _ARG_KINDS[key], args[key])
 
 
 def _decomp(sc: Scenario):
@@ -122,18 +149,11 @@ def _decomp(sc: Scenario):
     return sc.decomposition
 
 
-def _filtration(sc: Scenario, name: str) -> WeightedFiltration:
-    steps = _named(sc, "filtration", name)
-    return WeightedFiltration(tuple((w, _named(sc, "vector", v)) for w, v in steps))
-
-
-def _quiver_and_n(sc: Scenario, args: dict):
+def _quiver_and_n(sc: Scenario, n: Optional[tuple[int, ...]]):
     """The effective quiver, then the dimension vector: ``--n`` or else
     the decomposition's multiplicities."""
     q = sc.effective_quiver()
-    if args.get("n"):
-        return q, tuple(int(x) for x in args["n"].split(","))
-    return q, _decomp(sc).multiplicities
+    return q, n if n is not None else _decomp(sc).multiplicities
 
 
 def _root_budget(sc: Scenario, ov: Overrides) -> int:
@@ -150,50 +170,44 @@ def _box_bound(sc: Scenario, ov: Overrides) -> int:
     return bound
 
 
-def _walls(sc: Scenario, args: dict, ov: Overrides):
-    q, n = _quiver_and_n(sc, args)
-    return n, walls.enumerate_walls(q, n, budget=_root_budget(sc, ov))
+def _z0(sc: Scenario, z0: Optional[stability.StabilityFunction]):
+    """``--z0``, else the scenario's stability function ``Z0``."""
+    return z0 if z0 is not None else _function(sc, "Z0")
 
 
-def _z0_value(sc: Scenario, args: dict):
+def _slice(sc: Scenario, z0: Optional[stability.StabilityFunction] = None, **values):
+    """The given values, then Z0 at the total class and the decomposition:
+    the arguments of the slice maps and of the wall dictionary."""
     decomp = _decomp(sc)
-    return _named(sc, "stability function", args.get("z0") or "Z0")(decomp.total())
-
-
-def _slice(sc: Scenario, args: dict):
-    """(Z, Z0(total), decomposition): the arguments of the slice maps."""
-    z = _arg(sc, args, "z")
-    return z, _z0_value(sc, args), _decomp(sc)
+    return *values.values(), _z0(sc, z0)(decomp.total()), decomp
 
 
 # --- handlers ---------------------------------------------------------------
 # Each handler returns its results as library objects (``to_wire`` encodes
 # them), or (results, trace) for the commands that keep a trace.
 
-
-def _h_lattice_pair(sc, args, ov):
-    return {"value": pairing(_arg(sc, args, "a"), _arg(sc, args, "b"))}
+Handler = Callable[..., dict | tuple[dict, list]]
 
 
-def _h_lattice_square(sc, args, ov):
-    return {"value": square(_arg(sc, args, "v"))}
+def _answer(key: str, fn: Callable, arguments: Optional[Callable] = None) -> Handler:
+    """The handler answering ``{key: fn(...)}`` on the looked-up values in
+    table order, or on ``arguments(sc, **values)``."""
+    def handler(sc, ov, **values):
+        return {key: fn(*(arguments(sc, **values) if arguments else values.values()))}
+    return handler
 
 
-def _h_lattice_classify(sc, args, ov):
-    return {"kind": classify(_arg(sc, args, "v"))}
-
-
-def _h_lattice_signature(sc, args, ov):
+def _h_lattice_signature(sc, ov):
     return dict(zip(("positive", "negative", "zero"), signature(sc.lattice)))
 
 
-def _h_lattice_isotropic(sc, args, ov):
+def _h_lattice_isotropic(sc, ov):
     bound = _box_bound(sc, ov)
     found = find_isotropic(sc.lattice, bound)
     return {"found": found is not None, "vector": found, "searched_bound": bound}
 
 
-def _h_quiver_build(sc, args, ov):
+def _h_quiver_build(sc, ov):
     q = sc.effective_quiver()
     return {
         "vertices": q.num_vertices,
@@ -203,8 +217,8 @@ def _h_quiver_build(sc, args, ov):
     }
 
 
-def _h_quiver_dim(sc, args, ov):
-    q, n = _quiver_and_n(sc, args)
+def _h_quiver_dim(sc, ov, n=None):
+    q, n = _quiver_and_n(sc, n)
     return {
         "n": n,
         "quadratic_form": quadratic_form(q, n),
@@ -214,14 +228,14 @@ def _h_quiver_dim(sc, args, ov):
     }
 
 
-def _h_quiver_roots(sc, args, ov):
-    q, n = _quiver_and_n(sc, args)
+def _h_quiver_roots(sc, ov, n=None):
+    q, n = _quiver_and_n(sc, n)
     roots = enumerate_positive_roots(q, n, budget=_root_budget(sc, ov))
     return {"n": n, "roots": roots}
 
 
-def _h_quiver_simple_exists(sc, args, ov):
-    q, n = _quiver_and_n(sc, args)
+def _h_quiver_simple_exists(sc, ov, n=None):
+    q, n = _quiver_and_n(sc, n)
     verdict = simple_rep_exists(q, n, budget=_root_budget(sc, ov))
     return {
         "exists": verdict.exists,
@@ -230,31 +244,17 @@ def _h_quiver_simple_exists(sc, args, ov):
     }
 
 
-def _h_quiver_merge_check(sc, args, ov):
-    return {"merges": pairwise_merge_check(_arg(sc, args, "a"), _arg(sc, args, "b"))}
-
-
-def _h_rep_moment_map(sc, args, ov):
-    blocks = representation.moment_map(_arg(sc, args, "rep"))
+def _h_rep_moment_map(sc, ov, rep):
+    blocks = representation.moment_map(rep)
     return {
         "blocks": blocks,
         "trace_sum": sum((linalg.trace(b) for b in blocks), Fraction(0)),
     }
 
 
-def _h_rep_check_fiber(sc, args, ov):
-    rep = _arg(sc, args, "rep")
-    return {"in_zero_fiber": representation.in_zero_fiber(rep)}
-
-
-def _search(sc, args, ov, search):
-    rep = _arg(sc, args, "rep")
-    theta = _arg(sc, args, "theta")
-    return search(rep, theta, sc.search_limits(seed=ov.seed, budget=ov.budget))
-
-
-def _h_rep_destabilize(sc, args, ov):
-    result = _search(sc, args, ov, representation.destabilizer_search)
+def _h_rep_destabilize(sc, ov, rep, theta):
+    limits = sc.search_limits(seed=ov.seed, budget=ov.budget)
+    result = representation.destabilizer_search(rep, theta, limits)
     if result.found:
         return {"found": True, "witness": result.witness.spans, "slope": result.slope}
     return {
@@ -266,8 +266,9 @@ def _h_rep_destabilize(sc, args, ov):
     }
 
 
-def _h_rep_jh(sc, args, ov):
-    result = _search(sc, args, ov, representation.jordan_holder_search)
+def _h_rep_jh(sc, ov, rep, theta):
+    limits = sc.search_limits(seed=ov.seed, budget=ov.budget)
+    result = representation.jordan_holder_search(rep, theta, limits)
     if result.complete:
         return {
             "complete": True,
@@ -277,30 +278,22 @@ def _h_rep_jh(sc, args, ov):
     return {"complete": False, "reason": result.reason}
 
 
-def _h_stab_normalize(sc, args, ov):
-    return {"values": normalize(_arg(sc, args, "z"), _arg(sc, args, "v")).values}
+def _h_stab_normalize(sc, ov, z, v):
+    return {"values": normalize(z, v).values}
 
 
-def _h_stab_phase(sc, args, ov):
-    ph = stability.phase(_arg(sc, args, "z"), _arg(sc, args, "v"))
+def _h_stab_phase(sc, ov, z, v):
+    ph = stability.phase(z, v)
     return {"direction": ph.direction, "value": ph.as_fraction}
 
 
-def _h_stab_slope(sc, args, ov):
-    sl = stability.slope(_arg(sc, args, "z"), _arg(sc, args, "v"))
+def _h_stab_slope(sc, ov, z, v):
+    sl = stability.slope(z, v)
     return {"slope": "infinite" if sl is stability.INFINITE_SLOPE else sl}
 
 
-def _h_stab_weight(sc, args, ov):
-    filt = _filtration(sc, args["filtration"])
-    return {"weight": stability.filtration_weight(_arg(sc, args, "z"), filt)}
-
-
-def _h_stab_theta_unstable(sc, args, ov):
-    z = _arg(sc, args, "z")
-    total = _arg(sc, args, "v")
-    classes = [_named(sc, "vector", n) for n in args["classes"].split(",") if n]
-    verdict = stability.theta_unstable(z, total, classes)
+def _h_stab_theta_unstable(sc, ov, z, v, classes):
+    verdict = stability.theta_unstable(z, v, classes)
     if not verdict.unstable:
         return {"unstable": False}
     return {
@@ -310,29 +303,21 @@ def _h_stab_theta_unstable(sc, args, ov):
     }
 
 
-def _h_stab_chi_sigma(sc, args, ov):
-    return {"exponents": stability.character_exponents(_arg(sc, args, "z"), _decomp(sc))}
+def _h_stab_chi_sigma(sc, ov, z):
+    return {"exponents": stability.character_exponents(z, _decomp(sc))}
 
 
-def _h_stab_classical_weight(sc, args, ov):
-    try:
-        terms = [(int(w), [int(c) for c in coeffs]) for w, coeffs in json.loads(args["terms"])]
-    except (TypeError, OverflowError) as exc:
-        # a non-list term or coefficient list, or an infinite number
-        raise ValueError(f"terms must be [[weight, [coefficients]], ...]: {exc}") from exc
-    return {"value": stability.classical_git_weight(terms, int(args["ell"]))}
-
-
-def _h_stab_kclass(sc, args, ov):
-    kc = stability.k_class(_filtration(sc, args["filtration"]))
+def _h_stab_kclass(sc, ov, filtration):
+    kc = stability.k_class(filtration)
     return {
         "terms": [{"exponent": e, "class": v} for e, v in kc.terms],
         "at_one": kc.at_one(),
     }
 
 
-def _h_walls_enumerate(sc, args, ov):
-    _, found = _walls(sc, args, ov)
+def _h_walls_enumerate(sc, ov, n=None):
+    q, n = _quiver_and_n(sc, n)
+    found = walls.enumerate_walls(q, n, budget=_root_budget(sc, ov))
     return {
         "walls": [
             {"alpha": w.alpha, "degenerate": w.degenerate, "at_bound": w.at_bound}
@@ -341,10 +326,10 @@ def _h_walls_enumerate(sc, args, ov):
     }
 
 
-def _h_walls_locate(sc, args, ov):
-    n, found = _walls(sc, args, ov)
-    theta = walls.CharacterPoint(_arg(sc, args, "theta"), n)
-    sig = walls.locate_chamber(theta, found)
+def _h_walls_locate(sc, ov, theta, n=None):
+    q, n = _quiver_and_n(sc, n)
+    found = walls.enumerate_walls(q, n, budget=_root_budget(sc, ov))
+    sig = walls.locate_chamber(walls.CharacterPoint(theta, n), found)
     return {
         "signature": sig.as_string(),
         "open_chamber": sig.open_chamber,
@@ -352,33 +337,19 @@ def _h_walls_locate(sc, args, ov):
     }
 
 
-def _h_walls_gamma(sc, args, ov):
-    return {"degrees": walls.degree_vector(*_slice(sc, args))}
-
-
-def _h_walls_slice_check(sc, args, ov):
-    return {"on_slice": walls.on_slice(*_slice(sc, args))}
-
-
-def _h_walls_xi(sc, args, ov):
-    theta = walls.to_character(*_slice(sc, args))
+def _h_walls_xi(sc, ov, z, z0=None):
+    theta = walls.to_character(*_slice(sc, z0, z=z))
     return {"theta": theta.theta, "n": theta.n}
 
 
-def _h_walls_correspondence(sc, args, ov):
-    alpha = tuple(int(x) for x in args["alpha"].split(","))
-    samples = [_named(sc, "stability function", name)
-               for name in args["samples"].split(",") if name]
-    holds = walls.wall_correspondence_holds(
-        alpha, samples, _z0_value(sc, args), _decomp(sc)
-    )
+def _h_walls_correspondence(sc, ov, alpha, samples, z0=None):
+    holds = walls.wall_correspondence_holds(*_slice(sc, z0, alpha=alpha, samples=samples))
     return {"alpha": alpha, "holds": holds}
 
 
-def _h_wall_classify_tss(sc, args, ov):
-    hp = HyperbolicPair(sc.lattice, _arg(sc, args, "v"))
-    z0 = _named(sc, "stability function", args.get("z0") or "Z0")
-    result = detect_totally_semistable(hp, z0, _box_bound(sc, ov))
+def _h_wall_classify_tss(sc, ov, v, z0=None):
+    hp = HyperbolicPair(sc.lattice, v)
+    result = detect_totally_semistable(hp, _z0(sc, z0), _box_bound(sc, ov))
     if not result.detected:
         return {"detected": False, "searched_bound": result.searched_bound}
     return {
@@ -410,55 +381,53 @@ def _factor_obj(factor) -> dict:
     return {"kind": factor.kind, "class": factor.v, "multiplicity": factor.multiplicity}
 
 
-def _h_stratum_analyze(sc, args, ov):
+def _h_stratum_analyze(sc, ov):
     report = analyze_stratum(_decomp(sc))
     return {"verdict": _verdict_obj(report.verdict)}, list(report.trace)
 
 
-def _h_stratum_product_shape(sc, args, ov):
+def _h_stratum_product_shape(sc, ov):
     report = analyze_stratum(_decomp(sc))
     factors = stratum.product_shape(report)
     return {"factors": [_factor_obj(f) for f in factors]}, list(report.trace)
 
 
-def _h_stratum_simple_bridge(sc, args, ov):
+def _h_stratum_simple_bridge(sc, ov):
     exists = stratum.stable_deformation_exists(_decomp(sc), budget=_root_budget(sc, ov))
     return {"stable_deformation": exists}
 
 
-Handler = Callable[[Scenario, dict, Overrides], dict | tuple[dict, list]]
-
 # command -> (handler, positional argument names, optional flag names)
 COMMANDS: dict[str, tuple[Handler, tuple[str, ...], tuple[str, ...]]] = {
-    "lattice pair": (_h_lattice_pair, ("a", "b"), ()),
-    "lattice square": (_h_lattice_square, ("v",), ()),
-    "lattice classify": (_h_lattice_classify, ("v",), ()),
+    "lattice pair": (_answer("value", pairing), ("a", "b"), ()),
+    "lattice square": (_answer("value", square), ("v",), ()),
+    "lattice classify": (_answer("kind", classify), ("v",), ()),
     "lattice signature": (_h_lattice_signature, (), ()),
     "lattice isotropic": (_h_lattice_isotropic, (), ()),
     "quiver build": (_h_quiver_build, (), ()),
     "quiver dim": (_h_quiver_dim, (), ("n",)),
     "quiver roots": (_h_quiver_roots, (), ("n",)),
     "quiver simple-exists": (_h_quiver_simple_exists, (), ("n",)),
-    "quiver merge-check": (_h_quiver_merge_check, ("a", "b"), ()),
+    "quiver merge-check": (_answer("merges", pairwise_merge_check), ("a", "b"), ()),
     "rep moment-map": (_h_rep_moment_map, ("rep",), ()),
-    "rep check-fiber": (_h_rep_check_fiber, ("rep",), ()),
+    "rep check-fiber": (_answer("in_zero_fiber", representation.in_zero_fiber), ("rep",), ()),
     "rep destabilize": (_h_rep_destabilize, ("rep", "theta"), ()),
     "rep jh": (_h_rep_jh, ("rep", "theta"), ()),
     "stability normalize": (_h_stab_normalize, ("z", "v"), ()),
     "stability phase": (_h_stab_phase, ("z", "v"), ()),
     "stability slope": (_h_stab_slope, ("z", "v"), ()),
-    "stability weight": (_h_stab_weight, ("z", "filtration"), ()),
+    "stability weight": (_answer("weight", stability.filtration_weight), ("z", "filtration"), ()),
     "stability theta-unstable": (
         _h_stab_theta_unstable, ("z", "v", "classes"), ()),
     "stability chi-sigma": (_h_stab_chi_sigma, ("z",), ()),
     "stability classical-weight": (
-        _h_stab_classical_weight, ("terms", "ell"), ()),
+        _answer("value", stability.classical_git_weight), ("terms", "ell"), ()),
     "stability kclass": (_h_stab_kclass, ("filtration",), ()),
     "walls enumerate": (_h_walls_enumerate, (), ("n",)),
     "walls locate": (_h_walls_locate, ("theta",), ("n",)),
     "walls xi": (_h_walls_xi, ("z",), ("z0",)),
-    "walls gamma": (_h_walls_gamma, ("z",), ("z0",)),
-    "walls slice-check": (_h_walls_slice_check, ("z",), ("z0",)),
+    "walls gamma": (_answer("degrees", walls.degree_vector, _slice), ("z",), ("z0",)),
+    "walls slice-check": (_answer("on_slice", walls.on_slice, _slice), ("z",), ("z0",)),
     "walls correspondence": (
         _h_walls_correspondence, ("alpha", "samples"), ("z0",)),
     "wall classify-tss": (_h_wall_classify_tss, ("v",), ("z0",)),
@@ -486,7 +455,9 @@ def run_command(
             f"command {command!r} is missing arguments: {', '.join(missing)}"
         )
     start = time.perf_counter()
-    out = handler(scenario, args, overrides)
+    values = {name: _LOOKUPS[name](scenario, args[name])
+              for name in positionals + flags if name in positionals or args.get(name)}
+    out = handler(scenario, overrides, **values)
     results, trace = out if type(out) is tuple else (out, [])
     results = to_wire(results)
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -501,17 +472,13 @@ def run_command(
     )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises on a malformed argument list instead of printing usage
     text and exiting, so ``main`` can answer with one JSON line.
     Subparsers are built from the same class."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise UnknownCommandError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,25 +514,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return 2
+        ns = build_parser().parse_args(argv)
+        command = f"{ns.group} {ns.action}"
+        _, positionals, flags = COMMANDS[command]
+        args = {name: getattr(ns, name) for name in positionals + flags}
+        overrides = Overrides(seed=ns.seed, budget=ns.budget, bound=ns.bound)
+        report = run_command(load_scenario(ns.scenario), command, args, overrides)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
-    command = f"{ns.group} {ns.action}"
-    handler, positionals, flags = COMMANDS[command]
-    args = {name: getattr(ns, name) for name in positionals}
-    for flag in flags:
-        value = getattr(ns, flag, None)
-        if value is not None:
-            args[flag] = value
-    overrides = Overrides(seed=ns.seed, budget=ns.budget, bound=ns.bound)
-    try:
-        scenario = load_scenario(ns.scenario)
-        report = run_command(scenario, command, args, overrides)
     except ScenarioError as exc:
         print(json.dumps({"error": "schema", "violations": exc.violations}),
               file=sys.stderr)
@@ -576,7 +533,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except QuiverModuliError as exc:
         print(json.dumps({"error": "domain", "message": str(exc)}), file=sys.stderr)
         return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         # Malformed inline arguments (numbers, comma lists, JSON terms).
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return 2

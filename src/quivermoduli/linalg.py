@@ -37,29 +37,6 @@ def shape(a: Mat) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def add(a: Mat, b: Mat) -> Mat:
-    if shape(a) != shape(b):
-        raise ShapeMismatchError(f"cannot add {shape(a)} and {shape(b)}")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub(a: Mat, b: Mat) -> Mat:
-    if shape(a) != shape(b):
-        raise ShapeMismatchError(f"cannot subtract {shape(a)} and {shape(b)}")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    na, ma = shape(a)
-    nb, mb = shape(b)
-    if ma != nb:
-        raise ShapeMismatchError(f"cannot multiply {shape(a)} by {shape(b)}")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def matvec(a: Mat, v: Vec) -> Vec:
     if not a:
         return ()
@@ -67,11 +44,6 @@ def matvec(a: Mat, v: Vec) -> Vec:
     if m != len(v):
         raise ShapeMismatchError(f"cannot apply {shape(a)} to length-{len(v)} vector")
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def transpose(a: Mat) -> Mat:
-    n, m = shape(a)
-    return tuple(tuple(a[i][j] for i in range(n)) for j in range(m))
 
 
 def trace(a: Mat) -> Fraction:

@@ -67,19 +67,13 @@ class HyperbolicPair:
 EffectivityPredicate = Callable[[LatticeVector], bool]
 
 
-def default_effectivity(
-    z0: StabilityFunction, v: LatticeVector
-) -> EffectivityPredicate:
-    """Positivity against the wall's normalized center: a class s is
-    effective when Re(Z0(s)/Z0(v)) > 0.  Overridable because the
-    bookkeeping of effective classes is a convention of the ambient
-    geometry, not of the lattice."""
-    return _effective_against(z0, z0(v))
-
-
 def _effective_against(
     z0: StabilityFunction, z0_v: GaussianRational
 ) -> EffectivityPredicate:
+    """The default effectivity, positivity against the wall's normalized
+    center z0_v = Z0(v): a class s is effective when Re(Z0(s)/Z0(v)) > 0.
+    Overridable because the bookkeeping of effective classes is a
+    convention of the ambient geometry, not of the lattice."""
     def effective(s: LatticeVector) -> bool:
         return (z0(s) / z0_v).re > 0
 

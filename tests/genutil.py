@@ -17,6 +17,7 @@ from quivermoduli import (
     PolystableDecomposition,
 )
 from quivermoduli.errors import QuiverModuliError, ShapeMismatchError
+from quivermoduli.linalg import Mat, shape
 from quivermoduli.stability import GaussianRational, StabilityFunction
 
 # Even lattices with enough isotropic/spherical/positive classes to
@@ -168,3 +169,34 @@ def inverse(a):
                 c = aug[r][col]
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+# Rational matrix arithmetic for the oracles; the library runs on integers.
+
+
+def add(a: Mat, b: Mat) -> Mat:
+    if shape(a) != shape(b):
+        raise ShapeMismatchError(f"cannot add {shape(a)} and {shape(b)}")
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def sub(a: Mat, b: Mat) -> Mat:
+    if shape(a) != shape(b):
+        raise ShapeMismatchError(f"cannot subtract {shape(a)} and {shape(b)}")
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    na, ma = shape(a)
+    nb, mb = shape(b)
+    if ma != nb:
+        raise ShapeMismatchError(f"cannot multiply {shape(a)} by {shape(b)}")
+    bt = transpose(b)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def transpose(a: Mat) -> Mat:
+    n, m = shape(a)
+    return tuple(tuple(a[i][j] for i in range(n)) for j in range(m))

@@ -41,7 +41,7 @@ from quivermoduli.scenario import load_scenario
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stability import I, WeightedFiltration, filtration_weight
 
-from genutil import inverse, random_decomposition, random_gaussian, random_rep
+from genutil import inverse, matmul, random_decomposition, random_gaussian, random_rep
 from test_scenario_cli import base_doc
 
 
@@ -142,8 +142,8 @@ def _act(rep, gs):
         inv_s = inverse(gs_) if rep.n[arrow.source] else ()
         inv_t = inverse(gt) if rep.n[arrow.target] else ()
         if rep.n[arrow.source] and rep.n[arrow.target]:
-            xs.append(linalg.matmul(linalg.matmul(gt, x), inv_s))
-            ys.append(linalg.matmul(linalg.matmul(gs_, y), inv_t))
+            xs.append(matmul(matmul(gt, x), inv_s))
+            ys.append(matmul(matmul(gs_, y), inv_t))
         else:
             xs.append(x)
             ys.append(y)
@@ -162,8 +162,8 @@ def test_criterion_3_moment_map_laws():
             for g, old, new in zip(gs, blocks, moved):
                 if not g:
                     continue
-                assert new == linalg.matmul(
-                    linalg.matmul(g, old), inverse(g)
+                assert new == matmul(
+                    matmul(g, old), inverse(g)
                 )
 
 

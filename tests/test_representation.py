@@ -28,7 +28,7 @@ from quivermoduli.errors import (
     ShapeMismatchError,
 )
 
-from genutil import identity, inverse, orthogonal_character, random_rep
+from genutil import identity, inverse, matmul, orthogonal_character, random_rep
 
 ONE_LOOP = ExtQuiver((1,), ())
 AFFINE_A1 = ExtQuiver((0, 0), ((0, 1, 2),))
@@ -76,7 +76,7 @@ class TestMomentMap:
             moved = _act(rep, gs)
             lhs = moment_map(moved)
             rhs = tuple(
-                linalg.matmul(linalg.matmul(g, b), inverse(g))
+                matmul(matmul(g, b), inverse(g))
                 for g, b in zip(gs, moment_map(rep))
             )
             assert lhs == rhs
@@ -114,7 +114,7 @@ def _act(rep, gs):
 def _triple(a, m, b):
     if not m or not m[0]:
         return m
-    return linalg.matmul(linalg.matmul(a, m), b)
+    return matmul(matmul(a, m), b)
 
 
 class TestZeroFiber:

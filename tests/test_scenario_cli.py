@@ -792,11 +792,9 @@ def lattice_scenarios(draw):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(case=lattice_scenarios())
-# boxes past MAX_BOX_CELLS: hours of scanning without the cap
-@example(case=(diagonal_doc(10), ["lattice", "isotropic"]))
+# boxes past MAX_BOX_CELLS: 5 764 800 cells, 1 002 000 cells and about 4 * 10**12
 @example(case=(diagonal_doc(4), ["--bound", "24", "lattice", "isotropic"]))
-@example(case=(base_doc(), ["--bound", "100000", "lattice", "isotropic"]))
-@example(case=(base_doc(), ["--bound", "1000000", "wall", "classify-tss", "v"]))
 @example(case=(base_doc(), ["--bound", "500", "wall", "classify-tss", "v"]))
+@example(case=(base_doc(), ["--bound", "1000000", "lattice", "isotropic"]))
 def test_lattice_wall_and_stratum_commands_end_in_one_verdict(case):
     assert_one_verdict(*case)

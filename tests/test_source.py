@@ -1,11 +1,15 @@
-"""Rules for the library source itself."""
+"""Rules for the library source itself and its README."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quivermoduli"
+from quivermoduli.cli import COMMANDS
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quivermoduli"
 
 
 def test_no_assert_in_library():
@@ -19,3 +23,27 @@ def test_no_assert_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def readme_commands() -> list[tuple[str, int, tuple[str, ...]]]:
+    """(``group action``, number of positionals, flags) for each entry of
+    the README's "Commands:" block, in order."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Commands:\n\n```\n", 1)[1].split("```", 1)[0]
+    found = []
+    for line in block.splitlines():
+        if not line.startswith(" "):
+            group, line = line.split(None, 1)
+        for entry in line.split("|"):
+            flags = tuple(re.findall(r"\[--(\S+)", entry))
+            words = re.sub(r"\[--[^\]]*\]", "", entry).split()
+            if words:
+                found.append((f"{group} {words[0]}", len(words) - 1, flags))
+    return found
+
+
+def test_readme_lists_every_command():
+    assert sorted(readme_commands()) == sorted(
+        (command, len(positionals), flags)
+        for command, (_, positionals, flags) in COMMANDS.items()
+    )

@@ -114,6 +114,10 @@ class ExtQuiver:
         return tuple(tuple(sorted(nbrs)) for nbrs in out)
 
     @cached_property
+    def _neighbour_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << j for j in nbrs) for nbrs in self._adjacency)
+
+    @cached_property
     def _arrow_list(self) -> tuple[Arrow, ...]:
         out = []
         for i, g in enumerate(self.loops):
@@ -181,8 +185,16 @@ def _support(q: ExtQuiver, mask: int) -> tuple[bool, tuple[tuple[int, int, int],
     known = q._supports
     if mask not in known:
         verts = [i for i in range(q.num_vertices) if mask >> i & 1]
+        # Grow the lowest vertex by its neighbours inside the mask.
+        nbrs = q._neighbour_masks
+        reached, grown = 0, mask & -mask
+        while grown != reached:
+            reached = grown
+            for i in verts:
+                if reached >> i & 1:
+                    grown |= nbrs[i] & mask
         d = q.neg_cartan()
-        known[mask] = len(q.components(verts)) == 1, tuple(
+        known[mask] = bool(mask) and reached == mask, tuple(
             (i, j, d[i][j] if i == j else 2 * d[i][j])
             for i in verts for j in verts if i <= j and d[i][j]
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -227,8 +227,14 @@ def verify_subrep(rep: DoubleQuiverRep, witness: SubrepWitness) -> SubrepCheck:
 class SearchLimits:
     """Budgets for the bounded searches.
 
-    ``budget`` counts map applications performed inside closures; it is
-    the hard guarantee that a search terminates.  The seed categories:
+    ``budget`` counts map applications of closures; it is the hard
+    guarantee that a search terminates.  A closure grown from a
+    subrepresentation B is charged what a worklist applying every map
+    to each new vector spends: T = sum over vertices v of (dimension
+    gained at v) times (number of maps leaving v).  When T exceeds what
+    remains, the closure raises ``BudgetExceededError`` (which
+    ``jordan_holder_search`` reports as incomplete) after at most the
+    per-vector closures of its own seed set.  The seed categories:
     single standard basis vectors, coordinate subspace combinations,
     small-grid seeds (only when the total dimension is at most
     ``grid_dim_cap``), then ``prng_samples`` seeded random vectors.
@@ -290,35 +296,82 @@ def _out_maps(rep: DoubleQuiverRep) -> OutMaps:
     return out
 
 
-def _closure(
-    out_maps: OutMaps,
-    n: DimVector,
-    seeds: Sequence[tuple[int, IntVec]],
-    meter: _BudgetMeter,
-    base: Optional[Sequence[RowSpace]] = None,
-) -> list[RowSpace]:
-    """Smallest subrepresentation containing ``base`` and the integer
-    seed vectors, by iterating every map of the double quiver to a fixed
-    point.  Each map application costs one budget unit."""
-    if base is None:
-        spaces = [RowSpace(m) for m in n]
-    else:
-        spaces = [space.copy() for space in base]
-    worklist: list[tuple[int, IntVec]] = []
-    for vertex, vec in seeds:
-        if spaces[vertex]._absorb(vec):
-            worklist.append((vertex, vec))
-    while worklist:
-        vertex, vec = worklist.pop()
-        for mat, target in out_maps[vertex]:
-            meter.spend()
-            space = spaces[target]
-            if space.dim == space.ambient_dim:
-                continue  # a full space absorbs every image
-            image = [sum(map(mul, row, vec)) for row in mat]
-            if space._absorb(image):
-                worklist.append((target, image))
-    return spaces
+class _SeedClosures:
+    """The closures of one search, built as sums of per-vector closures.
+
+    The subrepresentation generated by a subrepresentation B and seed
+    vectors s_1..s_k is B + cl(s_1) + ... + cl(s_k), since a sum of
+    subrepresentations is one.  So the maps are iterated once per
+    distinct ``(vertex, vector)`` seed, and every seed set of the search
+    only adds the cached echelon rows.  ``RowSpace``'s reduced echelon
+    form is unique, so the spaces do not depend on how they were built.
+
+    Each sum is charged after it is built, what the worklist of the
+    closure from B would spend: one unit per map leaving each vector
+    that grew a space (see ``SearchLimits``).  Nothing is charged when
+    nothing grew.
+    """
+
+    def __init__(self, rep: DoubleQuiverRep, meter: _BudgetMeter):
+        self.out_maps = _out_maps(rep)
+        self.out_degree = [len(maps) for maps in self.out_maps]
+        self.n = rep.n
+        self.zero = tuple(RowSpace(m) for m in rep.n)
+        self.meter = meter
+        self.memo: dict[tuple[int, IntVec], tuple[tuple[int, RowSpace, int], ...]] = {}
+
+    def _of(self, vertex: int, vec: IntVec) -> tuple[tuple[int, RowSpace, int], ...]:
+        """The nonzero spaces of cl(vec at vertex) as (vertex, space,
+        dim), by iterating every map to a fixed point."""
+        spaces = [RowSpace(m) for m in self.n]
+        worklist = [(vertex, vec)] if spaces[vertex]._absorb(vec) else []
+        while worklist:
+            vertex, vec = worklist.pop()
+            for mat, target in self.out_maps[vertex]:
+                space = spaces[target]
+                if space.dim == space.ambient_dim:
+                    continue  # a full space absorbs every image
+                image = [sum(map(mul, row, vec)) for row in mat]
+                if space._absorb(image):
+                    worklist.append((target, image))
+        return tuple((i, space, space.dim) for i, space in enumerate(spaces) if space.dim)
+
+    def generated(
+        self,
+        seeds: Sequence[tuple[int, IntVec]],
+        base: Optional[Sequence[RowSpace]] = None,
+    ) -> tuple[list[RowSpace], list[int]]:
+        """Smallest subrepresentation containing ``base`` (zero when
+        omitted) and the integer seed vectors, with its dimension vector.
+
+        The spaces may be shared with ``base`` and the memo: a space is
+        copied before it is grown, and none is changed once returned.
+        """
+        spaces = list(self.zero if base is None else base)
+        dims = [space.dim for space in spaces]
+        start = dims[:]
+        owned = [False] * len(spaces)
+        n, memo = self.n, self.memo
+        for seed in seeds:
+            parts = memo.get(seed)
+            if parts is None:
+                parts = memo[seed] = self._of(*seed)
+            for i, part, dim in parts:
+                if dims[i] == n[i]:
+                    continue
+                if dims[i] == 0 or dim == n[i]:
+                    spaces[i], dims[i], owned[i] = part, dim, False
+                    continue
+                if not owned[i]:
+                    spaces[i], owned[i] = spaces[i].copy(), True
+                space = spaces[i]
+                for row in part._rows:
+                    space._absorb(row)
+                dims[i] = space.dim
+        cost = sum(map(mul, map(sub, dims, start), self.out_degree))
+        if cost:
+            self.meter.spend(cost)
+        return spaces, dims
 
 
 def _witness_from_spaces(spaces: Sequence[RowSpace]) -> SubrepWitness:
@@ -423,11 +476,17 @@ def _prng_seeds(
     for _ in range(limits.prng_samples):
         seeds = []
         for vertex, m in enumerate(rep.n):
-            vec = tuple(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)
-            )
-            if any(vec):
-                seeds.append((vertex, _cleared(vec)))
+            # Each entry num/den in lowest terms, the vector cleared by
+            # the lcm of the denominators.
+            nums, dens = [], []
+            for _ in range(m):
+                num, den = rng.randint(-3, 3), rng.randint(1, 3)
+                g = gcd(num, den)
+                nums.append(num // g)
+                dens.append(den // g)
+            if any(nums):
+                den = lcm(*dens)
+                seeds.append((vertex, tuple(a * (den // d) for a, d in zip(nums, dens))))
         if seeds:
             yield "prng", seeds
 
@@ -462,13 +521,12 @@ def destabilizer_search(
     """
     theta = _vanishing_character(rep, theta)
     signs = _cleared(theta)
-    out_maps = _out_maps(rep)
     meter = _BudgetMeter(limits.budget)
+    closures = _SeedClosures(rep, meter)
     counts: dict[str, int] = {}
     for category, seeds in _all_seeds(rep, limits):
         counts[category] = counts.get(category, 0) + 1
-        spaces = _closure(out_maps, rep.n, seeds, meter)
-        m = tuple(space.dim for space in spaces)
+        spaces, m = closures.generated(seeds)
         if sum(m) == 0:
             continue
         if sum(map(mul, signs, m)) > 0:  # positive slope
@@ -510,8 +568,8 @@ def jordan_holder_search(
     if limits.budget <= 0:
         return FiltrationResult(False, reason="zero search budget")
     signs = _cleared(theta)
-    out_maps = _out_maps(rep)
     meter = _BudgetMeter(limits.budget)
+    closures = _SeedClosures(rep, meter)
     current = [RowSpace(m) for m in rep.n]
     steps: list[SubrepWitness] = []
     dims: list[DimVector] = [tuple(0 for _ in rep.n)]
@@ -521,11 +579,10 @@ def jordan_holder_search(
             best: Optional[list[RowSpace]] = None
             best_total = None
             for _, seeds in _all_seeds(rep, limits):
-                spaces = _closure(out_maps, rep.n, seeds, meter, base=current)
-                total = sum(space.dim for space in spaces)
+                spaces, m = closures.generated(seeds, base=current)
+                total = sum(m)
                 if total <= cur_total:
                     continue
-                m = tuple(space.dim for space in spaces)
                 if sum(map(mul, signs, m)):
                     continue  # nonzero slope
                 if best is None or total < best_total:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from quivermoduli import (
     DoubleQuiverRep,
@@ -17,7 +18,7 @@ from quivermoduli import (
     PolystableDecomposition,
 )
 from quivermoduli.errors import QuiverModuliError, ShapeMismatchError
-from quivermoduli.linalg import Mat, shape
+from quivermoduli.linalg import Mat, RowSpace, shape
 from quivermoduli.stability import GaussianRational, StabilityFunction
 
 # Even lattices with enough isotropic/spherical/positive classes to
@@ -200,3 +201,31 @@ def matmul(a: Mat, b: Mat) -> Mat:
 def transpose(a: Mat) -> Mat:
     n, m = shape(a)
     return tuple(tuple(a[i][j] for i in range(n)) for j in range(m))
+
+
+def reference_closure(out_maps, n, seeds, meter, base=None):
+    """Smallest subrepresentation containing ``base`` and the integer
+    seed vectors, by iterating every map of the double quiver to a fixed
+    point from the seeds; each map application costs one budget unit.
+    ``out_maps`` lists per vertex the integer maps leaving it with their
+    targets.  The searches build the same spaces as sums of per-vector
+    closures."""
+    if base is None:
+        spaces = [RowSpace(m) for m in n]
+    else:
+        spaces = [space.copy() for space in base]
+    worklist = []
+    for vertex, vec in seeds:
+        if spaces[vertex]._absorb(vec):
+            worklist.append((vertex, vec))
+    while worklist:
+        vertex, vec = worklist.pop()
+        for mat, target in out_maps[vertex]:
+            meter.spend()
+            space = spaces[target]
+            if space.dim == space.ambient_dim:
+                continue  # a full space absorbs every image
+            image = [sum(map(mul, row, vec)) for row in mat]
+            if space._absorb(image):
+                worklist.append((target, image))
+    return spaces

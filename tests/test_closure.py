@@ -5,7 +5,10 @@ searches.
 rationals, so it is checked against a plain ``Fraction`` Gauss-Jordan
 reference.  The searches' answers (witnesses, slopes, certificates,
 filtration steps and the points where a budget runs out) are pinned to
-a digest recorded from the ``Fraction`` closure.
+a digest recorded from the ``Fraction`` closure.  The searches build
+each closure as a sum of memoised per-vector closures; that sum is
+checked against the iterated closure ``genutil.reference_closure`` in
+spaces and in budget charged.
 """
 
 from __future__ import annotations
@@ -14,13 +17,28 @@ import hashlib
 import random
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import orthogonal_character, random_rep
-from quivermoduli import SearchLimits, destabilizer_search, jordan_holder_search
+from genutil import orthogonal_character, random_rep, reference_closure
+from quivermoduli import (
+    DoubleQuiverRep,
+    ExtQuiver,
+    SearchLimits,
+    destabilizer_search,
+    jordan_holder_search,
+    representation,
+)
 from quivermoduli.errors import BudgetExceededError
-from quivermoduli.linalg import RowSpace
+from quivermoduli.linalg import RowSpace, _cleared
+from quivermoduli.representation import (
+    _all_seeds,
+    _BudgetMeter,
+    _out_maps,
+    _prng_seeds,
+    _SeedClosures,
+)
 
 
 def reference_rref(vectors, dim):
@@ -143,3 +161,178 @@ def test_search_answers_match_recorded_digest():
         lines.append(repr(jh_outcome(rep, theta, limits)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SEARCH_DIGEST
+
+
+UNMETERED = 10**9
+
+
+def charge(build, budget):
+    """The budget ``build(meter)`` spends, or None when it runs out."""
+    meter = _BudgetMeter(budget)
+    try:
+        build(meter)
+    except BudgetExceededError:
+        return None
+    return meter.used
+
+
+@st.composite
+def closure_cases(draw):
+    """A representation with integer, rational or {-1, 0, 1} entries,
+    seeds of a base subrepresentation (or None for no base), and seeds
+    holding fresh, zero, duplicate and contained vectors; a contained
+    vector lies in the subrepresentation generated by the base and the
+    seeds before it."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integer", "rational", "grid"]))
+    if kind == "rational":
+        rep = random_rep(rng, max_total_dim=6, max_denominator=3)
+    else:
+        rep = random_rep(rng, max_total_dim=6, grid_entries=kind == "grid")
+    out_maps = _out_maps(rep)
+    vertices = st.sampled_from([v for v, m in enumerate(rep.n) if m])
+
+    def fresh():
+        v = draw(vertices)
+        return v, tuple(draw(st.lists(st.integers(-3, 3), min_size=rep.n[v], max_size=rep.n[v])))
+
+    base_seeds = None
+    if draw(st.booleans()):
+        base_seeds = [fresh() for _ in range(draw(st.integers(0, 2)))]
+    seeds = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["fresh", "zero", "duplicate", "contained"]))
+        if kind == "zero":
+            v = draw(vertices)
+            seeds.append((v, (0,) * rep.n[v]))
+        elif kind == "duplicate" and seeds:
+            seeds.append(draw(st.sampled_from(seeds)))
+        elif kind == "contained":
+            spanned = reference_closure(
+                out_maps, rep.n, (base_seeds or []) + seeds, _BudgetMeter(UNMETERED))
+            v = draw(vertices)
+            rows = spanned[v]._rows
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            seeds.append((v, tuple(
+                sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(rep.n[v])
+            )))
+        else:
+            seeds.append(fresh())
+    return rep, base_seeds, seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=closure_cases(), slack=st.integers(-2, 2))
+def test_sum_of_closures_matches_reference(case, slack):
+    rep, base_seeds, seeds = case
+    out_maps = _out_maps(rep)
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
+    closures.generated(seeds[::-1])  # later sums start from a warm memo
+    base = None
+    if base_seeds is not None:
+        base, _ = closures.generated(base_seeds)
+        base_bases = [space.basis() for space in base]
+    expected_meter = _BudgetMeter(UNMETERED)
+    expected = reference_closure(out_maps, rep.n, seeds, expected_meter, base)
+    before = closures.meter.used
+    spaces, dims = closures.generated(seeds, base)
+    assert [space.basis() for space in spaces] == [space.basis() for space in expected]
+    assert dims == [space.dim for space in expected]
+    assert closures.meter.used - before == expected_meter.used
+    if base is not None:
+        assert [space.basis() for space in base] == base_bases
+    # A budget near the charge runs out in both or in neither.
+    budget = expected_meter.used + slack
+    assert charge(lambda m: _SeedClosures(rep, m).generated(seeds, base), budget) == charge(
+        lambda m: reference_closure(out_maps, rep.n, seeds, m, base), budget)
+
+
+def test_budget_of_exactly_the_charge_completes(monkeypatch):
+    """Each search completes on a budget of exactly what it charged and
+    runs out on one unit less; a destabilizer search that finds nothing
+    charges what the iterated closure charges over all its seed sets."""
+    made = []
+
+    class RecordingMeter(_BudgetMeter):
+        def __init__(self, budget):
+            super().__init__(budget)
+            made.append(self)
+
+    monkeypatch.setattr(representation, "_BudgetMeter", RecordingMeter)
+    rng = random.Random(9)
+    checked = {"destabilizer": 0, "unfound": 0, "jh": 0}
+    for _ in range(30):
+        rep = random_rep(rng, max_total_dim=5)
+        theta = orthogonal_character(rng, rep.n) or (Q(0),) * len(rep.n)
+        limits = SearchLimits(prng_samples=3)
+        got = destabilizer_search(rep, theta, limits)
+        used = made[-1].used
+        if not got.found:
+            out_maps = _out_maps(rep)
+            meter = _BudgetMeter(UNMETERED)
+            for _, seeds in _all_seeds(rep, limits):
+                reference_closure(out_maps, rep.n, seeds, meter)
+            assert got.certificate.budget_used == used == meter.used
+            checked["unfound"] += 1
+        if used:
+            exact = SearchLimits(budget=used, prng_samples=3)
+            assert destabilizer_search(rep, theta, exact) == got
+            with pytest.raises(BudgetExceededError):
+                destabilizer_search(rep, theta, SearchLimits(budget=used - 1, prng_samples=3))
+            checked["destabilizer"] += 1
+        filtration = jordan_holder_search(rep, theta, limits)
+        used = made[-1].used
+        if filtration.complete and used > 1:
+            exact = SearchLimits(budget=used, prng_samples=3)
+            assert jordan_holder_search(rep, theta, exact) == filtration
+            short = jordan_holder_search(rep, theta, SearchLimits(budget=used - 1, prng_samples=3))
+            assert short.reason == "search budget exhausted"
+            checked["jh"] += 1
+    assert min(checked.values()) >= 5, checked
+
+
+def test_space_filled_from_memo_reports_its_own_basis():
+    """A vertex left empty by one sum, its (empty) basis read, and then
+    filled from a memoised per-vector closure reports that closure's
+    basis; the base it grew from keeps its own."""
+    rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ((0, 1, 2),)), (1, 1))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
+    closures.generated([(1, (1,))])
+    first, _ = closures.generated([(0, (1,))])
+    assert [space.basis() for space in first] == [((Q(1),),), ()]
+    second, dims = closures.generated([(1, (1,))], base=first)
+    assert dims == [1, 1]
+    assert [space.basis() for space in second] == [((Q(1),),), ((Q(1),),)]
+    assert [space.basis() for space in first] == [((Q(1),),), ()]
+    assert jordan_holder_search(rep, (0, 0)).graded_dims == ((1, 0), (0, 1))
+
+
+def test_negative_budget_with_nothing_to_charge():
+    """A search whose closures never apply a map charges nothing, so a
+    negative budget does not run out."""
+    rep = DoubleQuiverRep.zero(ExtQuiver((0,), ()), (1,))
+    got = destabilizer_search(rep, (0,), SearchLimits(budget=-1))
+    assert not got.found
+    assert got.certificate.seeds_tried == (("basis", 1), ("grid", 1), ("grid-tuple", 1), ("prng", 6))
+    assert got.certificate.budget_used == 0
+
+
+def fraction_prng_seeds(n, limits):
+    """The PRNG seed sets built from ``Fraction`` entries."""
+    rng = random.Random(limits.seed)
+    for _ in range(limits.prng_samples):
+        seeds = []
+        for vertex, m in enumerate(n):
+            vec = tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m))
+            if any(vec):
+                seeds.append((vertex, _cleared(vec)))
+        if seeds:
+            yield "prng", seeds
+
+
+def test_prng_seeds_match_fraction_construction():
+    for n in ((1,), (3,), (2, 0, 1), (4, 4), (0, 2, 3, 1)):
+        rep = DoubleQuiverRep.zero(ExtQuiver((0,) * len(n), ()), n)
+        for seed in range(300):
+            limits = SearchLimits(seed=seed, prng_samples=4)
+            assert list(_prng_seeds(rep, limits)) == list(fraction_prng_seeds(n, limits))

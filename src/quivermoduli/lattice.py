@@ -247,8 +247,8 @@ def sublattice_gram(
     saturated in the ambient lattice.
     """
     vecs = list(basis)
-    for v in vecs:
-        _same_lattice(v, ambient.basis_vector(0)) if ambient.rank else None
+    if any(v.lattice is not ambient and v.lattice != ambient for v in vecs):
+        raise LatticeMismatchError("basis vector is not in the ambient lattice")
     k = len(vecs)
     coords = [v.coords for v in vecs]
     minors = []

@@ -1,8 +1,10 @@
 """Exact rational linear algebra on tuple-based matrices.
 
-Matrices are immutable tuples of row tuples with ``Fraction`` entries.
-``RowSpace`` computes on integers and hands back rationals.  Everything
-here is exact; nothing ever touches floating point.
+Matrices are immutable tuples of row tuples with ``Fraction`` entries;
+this module builds and inspects them but applies none: a caller that
+applies a map clears it to integers first.  ``RowSpace`` computes on
+integers and hands back rationals.  Everything here is exact; nothing
+ever touches floating point.
 """
 
 from __future__ import annotations
@@ -18,12 +20,8 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-def vector(entries: Iterable) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
 def matrix(rows: Iterable[Iterable]) -> Mat:
-    mat = tuple(vector(row) for row in rows)
+    mat = tuple(tuple(Fraction(e) for e in row) for row in rows)
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ShapeMismatchError("ragged matrix")
     return mat
@@ -35,15 +33,6 @@ def zeros(nrows: int, ncols: int) -> Mat:
 
 def shape(a: Mat) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
-
-
-def matvec(a: Mat, v: Vec) -> Vec:
-    if not a:
-        return ()
-    n, m = shape(a)
-    if m != len(v):
-        raise ShapeMismatchError(f"cannot apply {shape(a)} to length-{len(v)} vector")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def trace(a: Mat) -> Fraction:

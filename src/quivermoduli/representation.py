@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -85,6 +85,15 @@ class DoubleQuiverRep:
     def arrows(self) -> tuple[Arrow, ...]:
         return self.quiver.arrow_list()
 
+    # Built once per representation from the frozen maps; the cache
+    # lives outside the fields, which alone make up __eq__, __hash__ and
+    # __repr__.
+    @cached_property
+    def _integral_maps(self) -> tuple[tuple[tuple[IntMat, int], tuple[IntMat, int]], ...]:
+        """Per arrow, (x_e, y_e) each as an integer matrix with the lcm
+        of its denominators.  The only place a map is cleared."""
+        return tuple((_integral(x), _integral(y)) for x, y in zip(self.x_maps, self.y_maps))
+
     @property
     def total_dim(self) -> int:
         return sum(self.n)
@@ -122,13 +131,12 @@ def moment_map(rep: DoubleQuiverRep) -> BlockEndomorphism:
     minus y_e x_e over arrows starting at i; for a loop this is the
     literal commutator.  The blockwise traces always sum to zero.
     """
-    # Each map is cleared to an integer matrix over the lcm of its
-    # denominators, and each block summed over one common denominator.
+    # Each block is summed on the cleared maps over one common
+    # denominator.
     terms: list[list[tuple[int, IntMat, int]]] = [[] for _ in rep.n]
-    for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
+    for arrow, ((xi, dx), (yi, dy)) in zip(rep.arrows, rep._integral_maps):
         if rep.n[arrow.source] == 0 or rep.n[arrow.target] == 0:
             continue  # both products vanish identically
-        (xi, dx), (yi, dy) = _integral(x), _integral(y)
         terms[arrow.target].append((1, _int_matmul(xi, yi), dx * dy))
         terms[arrow.source].append((-1, _int_matmul(yi, xi), dx * dy))
     blocks = []
@@ -188,7 +196,12 @@ class SubrepCheck:
 
 def verify_subrep(rep: DoubleQuiverRep, witness: SubrepWitness) -> SubrepCheck:
     """Exact closure check: every map of the double quiver must send
-    the witness span at its source into the witness span at its target."""
+    the witness span at its source into the witness span at its target.
+
+    The cleared maps act on the spaces' primitive integer echelon rows,
+    positive multiples of the basis rows; a positive multiple of a map
+    has the same invariant subspaces.  An escaping vector is the exact
+    image of the reduced basis row under the rational map."""
     if len(witness.spans) != len(rep.n):
         raise ShapeMismatchError(
             f"witness over {len(witness.spans)} vertices, representation has {len(rep.n)}"
@@ -207,19 +220,21 @@ def verify_subrep(rep: DoubleQuiverRep, witness: SubrepWitness) -> SubrepCheck:
                     f"witness basis at vertex {i} is linearly dependent"
                 )
         spaces.append(space)
-    for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
-        for row in spaces[arrow.source].basis():
-            image = linalg.matvec(x, row)
-            if not spaces[arrow.target].contains(image):
-                return SubrepCheck(
-                    False, failing_map=ArrowRef("x", arrow), escaping_vector=image
-                )
-        for row in spaces[arrow.target].basis():
-            image = linalg.matvec(y, row)
-            if not spaces[arrow.source].contains(image):
-                return SubrepCheck(
-                    False, failing_map=ArrowRef("y", arrow), escaping_vector=image
-                )
+    for arrow, ((x, dx), (y, dy)) in zip(rep.arrows, rep._integral_maps):
+        for direction, mat, den, source, target in (
+            ("x", x, dx, arrow.source, arrow.target),
+            ("y", y, dy, arrow.target, arrow.source),
+        ):
+            space = spaces[source]
+            for row, piv in zip(space._rows, space._pivots):
+                image = [sum(map(mul, r, row)) for r in mat]
+                if any(spaces[target]._reduce(image)):
+                    scale = den * row[piv]
+                    return SubrepCheck(
+                        False,
+                        failing_map=ArrowRef(direction, arrow),
+                        escaping_vector=tuple(Fraction(a, scale) for a in image),
+                    )
     return SubrepCheck(True, dims=tuple(space.dim for space in spaces))
 
 
@@ -284,15 +299,13 @@ OutMaps = list[list[tuple[IntMat, int]]]
 
 
 def _out_maps(rep: DoubleQuiverRep) -> OutMaps:
-    """Per vertex, every map leaving it with its target vertex, each
-    cleared to an integer matrix by the lcm of its denominators.  A
-    positive multiple of a map has the same invariant subspaces, so the
-    closures see the same subrepresentations."""
+    """Per vertex, every cleared map leaving it with its target vertex.
+    A positive multiple of a map has the same invariant subspaces, so
+    the closures see the same subrepresentations."""
     out: OutMaps = [[] for _ in rep.n]
-    for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
-        for mat, source, target in ((x, arrow.source, arrow.target),
-                                    (y, arrow.target, arrow.source)):
-            out[source].append((_integral(mat)[0], target))
+    for arrow, ((x, _), (y, _)) in zip(rep.arrows, rep._integral_maps):
+        out[arrow.source].append((x, arrow.target))
+        out[arrow.target].append((y, arrow.source))
     return out
 
 

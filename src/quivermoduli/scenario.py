@@ -22,8 +22,8 @@ from typing import Optional, Union
 from .decomposition import PolystableDecomposition
 from .errors import QuiverModuliError, ScenarioError
 from .lattice import GramLattice, LatticeVector
-from .quiver import ExtQuiver, build_ext_quiver
-from .representation import DoubleQuiverRep, SearchLimits
+from .quiver import DEFAULT_ROOT_BUDGET, ExtQuiver, build_ext_quiver
+from .representation import DEFAULT_SEARCH_BUDGET, DoubleQuiverRep, SearchLimits
 from .stability import GaussianRational, StabilityFunction
 
 # Largest sum(n_i^2) of a representation's dimension vector.  The
@@ -33,11 +33,11 @@ from .stability import GaussianRational, StabilityFunction
 MAX_REP_SQUARES = 1024
 
 DEFAULT_BUDGETS = {
-    "root_budget": 200_000,
-    "search_budget": 100_000,
+    "root_budget": DEFAULT_ROOT_BUDGET,
+    "search_budget": DEFAULT_SEARCH_BUDGET,
     "box_bound": 6,
-    "prng_seed": 0,
-    "prng_samples": 8,
+    "prng_seed": SearchLimits.seed,
+    "prng_samples": SearchLimits.prng_samples,
 }
 
 
@@ -126,7 +126,7 @@ class Scenario:
     def search_limits(self, seed: Optional[int] = None, budget: Optional[int] = None) -> SearchLimits:
         return SearchLimits(
             budget=budget if budget is not None else self.budgets["search_budget"],
-            prng_samples=self.budgets.get("prng_samples", 8),
+            prng_samples=self.budgets["prng_samples"],
             seed=seed if seed is not None else self.budgets["prng_seed"],
         )
 

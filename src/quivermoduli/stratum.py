@@ -38,7 +38,7 @@ from .quiver import (
     pairwise_merge_check,
     simple_rep_exists,
 )
-from .stability import GaussianRational, StabilityFunction
+from .stability import StabilityFunction
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,15 @@ class HyperbolicPair:
 EffectivityPredicate = Callable[[LatticeVector], bool]
 
 
-def _effective_against(
-    z0: StabilityFunction, z0_v: GaussianRational
-) -> EffectivityPredicate:
+def _effective_against(z0: StabilityFunction) -> EffectivityPredicate:
     """The default effectivity, positivity against the wall's normalized
-    center z0_v = Z0(v): a class s is effective when Re(Z0(s)/Z0(v)) > 0.
-    Overridable because the bookkeeping of effective classes is a
-    convention of the ambient geometry, not of the lattice."""
+    center Z0(v): a class s is effective when Re(Z0(s)/Z0(v)) > 0.  With
+    Z0(v) in i*Q>0 that is Im Z0(s) > 0, read off the integer numerator
+    over the positive common denominator.  Overridable because the
+    bookkeeping of effective classes is a convention of the ambient
+    geometry, not of the lattice."""
     def effective(s: LatticeVector) -> bool:
-        return (z0(s) / z0_v).re > 0
+        return z0._numerators(s)[1] > 0
 
     return effective
 
@@ -125,7 +125,7 @@ def detect_totally_semistable(
             f"reference value Z0(v) = {z0_v!r}; expected a positive multiple of i"
         )
     if effectivity is None:
-        effectivity = _effective_against(z0, z0_v)
+        effectivity = _effective_against(z0)
     (a, b), (_, d) = hp.lattice.gram
     vx, vy = hp.v.coords
     v0, v1 = vx * a + vy * b, vx * b + vy * d  # the row v . G: <v, (x, y)> = v0 x + v1 y
@@ -320,7 +320,7 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
     for comp in quiver.components(spherical):
         vertex_sets = [list(comp)]
         for p in positives:
-            if any(pair[min(p, i)][max(p, i)] > 0 for i in comp):
+            if any(pair[p][i] > 0 for i in comp):
                 vertex_sets.append(list(comp) + [p])
         for verts in vertex_sets:
             g = _graph_genus(verts, pair)
@@ -377,9 +377,7 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
     total = decomp.total()
     leaf = None
     for i in spherical:
-        neighbours = [
-            j for j in range(s) if j != i and pair[min(i, j)][max(i, j)] > 0
-        ]
+        neighbours = [j for j in range(s) if j != i and pair[i][j] > 0]
         if len(neighbours) == 1:
             leaf = i
             break
@@ -407,11 +405,7 @@ def _graph_genus(vertices: Sequence[int], pair: list[list[int]]) -> int:
     """First Betti number 1 - |V| + |E| with edges counted with
     pairing multiplicity, for a connected vertex set."""
     verts = list(vertices)
-    edges = sum(
-        pair[min(a, b)][max(a, b)]
-        for k, a in enumerate(verts)
-        for b in verts[k + 1:]
-    )
+    edges = sum(pair[a][b] for k, a in enumerate(verts) for b in verts[k + 1:])
     return 1 - len(verts) + edges
 
 

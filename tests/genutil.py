@@ -19,6 +19,7 @@ from quivermoduli import (
 )
 from quivermoduli.errors import QuiverModuliError, ShapeMismatchError
 from quivermoduli.linalg import Mat, RowSpace, shape
+from quivermoduli.representation import ArrowRef, SubrepCheck
 from quivermoduli.stability import GaussianRational, StabilityFunction
 
 # Even lattices with enough isotropic/spherical/positive classes to
@@ -201,6 +202,53 @@ def matmul(a: Mat, b: Mat) -> Mat:
 def transpose(a: Mat) -> Mat:
     n, m = shape(a)
     return tuple(tuple(a[i][j] for i in range(n)) for j in range(m))
+
+
+def matvec(a: Mat, v):
+    if not a:
+        return ()
+    if shape(a)[1] != len(v):
+        raise ShapeMismatchError(f"cannot apply {shape(a)} to length-{len(v)} vector")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def reference_verify_subrep(rep, witness) -> SubrepCheck:
+    """``verify_subrep`` on the rational maps: every map applied to
+    every reduced basis row of the witness space at its source, each
+    image tested for membership at its target.  The library applies the
+    cleared integer maps to the primitive integer rows instead."""
+    if len(witness.spans) != len(rep.n):
+        raise ShapeMismatchError(
+            f"witness over {len(witness.spans)} vertices, representation has {len(rep.n)}"
+        )
+    spaces = []
+    for i, span in enumerate(witness.spans):
+        space = RowSpace(rep.n[i])
+        for row in span:
+            if len(row) != rep.n[i]:
+                raise ShapeMismatchError(
+                    f"witness vector of length {len(row)} at vertex {i} "
+                    f"of dimension {rep.n[i]}"
+                )
+            if not space.add(row):
+                raise ShapeMismatchError(
+                    f"witness basis at vertex {i} is linearly dependent"
+                )
+        spaces.append(space)
+    for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
+        for row in spaces[arrow.source].basis():
+            image = matvec(x, row)
+            if not spaces[arrow.target].contains(image):
+                return SubrepCheck(
+                    False, failing_map=ArrowRef("x", arrow), escaping_vector=image
+                )
+        for row in spaces[arrow.target].basis():
+            image = matvec(y, row)
+            if not spaces[arrow.source].contains(image):
+                return SubrepCheck(
+                    False, failing_map=ArrowRef("y", arrow), escaping_vector=image
+                )
+    return SubrepCheck(True, dims=tuple(space.dim for space in spaces))
 
 
 def reference_closure(out_maps, n, seeds, meter, base=None):

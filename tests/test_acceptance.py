@@ -41,7 +41,7 @@ from quivermoduli.scenario import load_scenario
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stability import I, WeightedFiltration, filtration_weight
 
-from genutil import inverse, matmul, random_decomposition, random_gaussian, random_rep
+from genutil import inverse, matmul, matvec, random_decomposition, random_gaussian, random_rep
 from test_scenario_cli import base_doc
 
 
@@ -238,13 +238,13 @@ def _oracle_positive_subrep_exists(rep, theta):
         ok = True
         for arrow, x, y in zip(rep.arrows, rep.x_maps, rep.y_maps):
             for vec in choice[arrow.source]:
-                if not _member(list(choice[arrow.target]), linalg.matvec(x, vec)):
+                if not _member(list(choice[arrow.target]), matvec(x, vec)):
                     ok = False
                     break
             if not ok:
                 break
             for vec in choice[arrow.target]:
-                if not _member(list(choice[arrow.source]), linalg.matvec(y, vec)):
+                if not _member(list(choice[arrow.source]), matvec(y, vec)):
                     ok = False
                     break
             if not ok:

@@ -263,6 +263,18 @@ class TestSublattice:
                 mukai3, [mukai3.vector((2, 0, 0)), mukai3.vector((0, 2, 0))]
             )
 
+    def test_foreign_vector_rejected(self, mukai3, hyperbolic):
+        with pytest.raises(LatticeMismatchError):
+            sublattice_gram(mukai3, [hyperbolic.vector((1, 0))])
+
+    def test_rank_zero_ambient(self):
+        # A foreign vector is a lattice mismatch here too, not a
+        # primitivity failure of an empty minor set.
+        ambient = GramLattice(())
+        assert sublattice_gram(ambient, []).gram == ()
+        with pytest.raises(LatticeMismatchError):
+            sublattice_gram(ambient, [GramLattice(((2,),)).vector((1,))])
+
 
 def test_vector_arithmetic(mukai3):
     a = mukai3.vector((1, 2, 3))

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from genutil import add, identity, inverse, matmul, sub, transpose
+from genutil import add, identity, inverse, matmul, matvec, sub, transpose
 from quivermoduli import linalg
 from quivermoduli.errors import ShapeMismatchError
 
@@ -37,8 +37,8 @@ class TestBasicOps:
 
     def test_matvec(self):
         a = M((1, 2), (3, 4))
-        assert linalg.matvec(a, (Q(1), Q(-1))) == (Q(-1), Q(-1))
-        assert linalg.matvec((), (Q(1), Q(2))) == ()
+        assert matvec(a, (Q(1), Q(-1))) == (Q(-1), Q(-1))
+        assert matvec((), (Q(1), Q(2))) == ()
 
     def test_ragged_rejected(self):
         with pytest.raises(ShapeMismatchError):

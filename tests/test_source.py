@@ -25,6 +25,27 @@ def test_no_assert_in_library():
     assert found == []
 
 
+def test_linalg_has_no_function_only_tests_use():
+    # Every public function of linalg must have a caller in the library
+    # itself, through ``linalg.name`` or an import of the name.
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    public = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "linalg"):
+                used.add(node.attr)
+    assert public and sorted(public - used) == []
+
+
 def readme_commands() -> list[tuple[str, int, tuple[str, ...]]]:
     """(``group action``, number of positionals, flags) for each entry of
     the README's "Commands:" block, in order."""

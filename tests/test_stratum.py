@@ -133,6 +133,59 @@ class TestDetectTotallySemistable:
         result = detect_totally_semistable(hp, z0, 2, effectivity=nothing_effective)
         assert not result.detected
 
+    def test_default_effectivity_is_positivity_against_center(self):
+        # With Z0(v) in i*Q>0 the default predicate, read off the integer
+        # numerator of Im Z0(s), is Re(Z0(s)/Z0(v)) > 0.
+        from quivermoduli.stratum import _effective_against
+
+        rng = random.Random(211)
+        checked = 0
+        for _ in range(300):
+            lat = GramLattice(((-2, 1), (1, 2)))
+            a, b = rng.randint(1, 3), rng.randint(-3, 3)
+            v = lat.vector((a, b))
+            x2 = Q(rng.randint(-3, 3), rng.randint(1, 3))
+            y1, y2 = (Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2))
+            z0 = StabilityFunction(lat, (G(-b * x2 / a, y1), G(x2, y2)))
+            if z0(v).re != 0 or z0(v).im <= 0:
+                continue
+            effective = _effective_against(z0)
+            for x in range(-3, 4):
+                for y in range(-3, 4):
+                    s = lat.vector((x, y))
+                    assert effective(s) == ((z0(s) / z0(v)).re > 0)
+                    checked += 1
+        assert checked > 2000
+
+    def test_custom_predicate_sees_spherical_candidates_in_box_order(self):
+        from quivermoduli.lattice import iter_box
+
+        rng = random.Random(223)
+        for _ in range(200):
+            a, b, d = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
+            lat = GramLattice(((a, b), (b, d)))
+            if a * d - b * b >= 0:
+                continue  # not hyperbolic
+            v = lat.vector((rng.randint(-3, 3), rng.randint(-3, 3)))
+            if square(v) <= 0:
+                continue
+            hp = HyperbolicPair(lat, v)
+            z0 = StabilityFunction(lat, tuple(G.of(0, Q(c)) for c in v.coords))
+            if z0(v).im <= 0:
+                continue
+            seen = []
+            result = detect_totally_semistable(
+                hp, z0, 3, effectivity=lambda s: seen.append(s.coords) or False
+            )
+            box = [lat.vector(c) for c in iter_box(2, 3)]
+            if any(square(w) == 0 and pairing(v, w) == 1 for w in box):
+                assert result.detected and seen == []
+            else:
+                assert not result.detected
+                assert seen == [
+                    w.coords for w in box if square(w) == -2 and pairing(v, w) < 0
+                ]
+
     def test_reference_must_be_imaginary(self):
         lat = GramLattice(((0, 1), (1, 0)))
         hp = HyperbolicPair(lat, lat.vector((1, 1)))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -296,6 +296,7 @@ class _BudgetMeter:
 
 IntVec = Sequence[int]
 OutMaps = list[list[tuple[IntMat, int]]]
+SeedSet = tuple[str, list[tuple[int, IntVec]]]  # (category, seeds as (vertex, vector))
 
 
 def _out_maps(rep: DoubleQuiverRep) -> OutMaps:
@@ -395,7 +396,7 @@ def _unit(m: int, k: int) -> tuple[int, ...]:
     return tuple(1 if c == k else 0 for c in range(m))
 
 
-def _basis_seeds(rep: DoubleQuiverRep) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
+def _basis_seeds(rep: DoubleQuiverRep) -> Iterator[SeedSet]:
     for vertex, m in enumerate(rep.n):
         for k in range(m):
             yield "basis", [(vertex, _unit(m, k))]
@@ -403,7 +404,7 @@ def _basis_seeds(rep: DoubleQuiverRep) -> Iterator[tuple[str, list[tuple[int, In
 
 def _subset_seeds(
     rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
+) -> Iterator[SeedSet]:
     coords = [
         (vertex, k) for vertex, m in enumerate(rep.n) for k in range(m)
     ]
@@ -458,7 +459,7 @@ def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...],
 
 def _grid_seeds(
     rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
+) -> Iterator[SeedSet]:
     if rep.total_dim > limits.grid_dim_cap:
         return
     for vertex, m in enumerate(rep.n):
@@ -484,7 +485,7 @@ def _grid_seeds(
 
 def _prng_seeds(
     rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
+) -> Iterator[SeedSet]:
     rng = random.Random(limits.seed)
     for _ in range(limits.prng_samples):
         seeds = []
@@ -504,11 +505,31 @@ def _prng_seeds(
             yield "prng", seeds
 
 
-def _all_seeds(rep, limits) -> Iterator[tuple[str, list[tuple[int, IntVec]]]]:
+def _all_seeds(rep, limits) -> Iterator[SeedSet]:
     yield from _basis_seeds(rep)
     yield from _subset_seeds(rep, limits)
     yield from _grid_seeds(rep, limits)
     yield from _prng_seeds(rep, limits)
+
+
+def _replay(seed_sets: Iterator[SeedSet]) -> Callable[[], Iterator[SeedSet]]:
+    """Passes over one draw of ``seed_sets``: each pass re-reads the
+    seed sets drawn so far and draws more only when it runs past them,
+    so no pass draws more than a fresh generator would."""
+    drawn: list[SeedSet] = []
+
+    def replay() -> Iterator[SeedSet]:
+        k = 0
+        while True:
+            if k == len(drawn):
+                seed_set = next(seed_sets, None)
+                if seed_set is None:
+                    return
+                drawn.append(seed_set)
+            yield drawn[k]
+            k += 1
+
+    return replay
 
 
 def _vanishing_character(rep: DoubleQuiverRep, theta: Sequence) -> tuple[Fraction, ...]:
@@ -583,6 +604,7 @@ def jordan_holder_search(
     signs = _cleared(theta)
     meter = _BudgetMeter(limits.budget)
     closures = _SeedClosures(rep, meter)
+    seed_sets = _replay(_all_seeds(rep, limits))
     current = [RowSpace(m) for m in rep.n]
     steps: list[SubrepWitness] = []
     dims: list[DimVector] = [tuple(0 for _ in rep.n)]
@@ -591,7 +613,7 @@ def jordan_holder_search(
             cur_total = sum(space.dim for space in current)
             best: Optional[list[RowSpace]] = None
             best_total = None
-            for _, seeds in _all_seeds(rep, limits):
+            for _, seeds in seed_sets():
                 spaces, m = closures.generated(seeds, base=current)
                 total = sum(m)
                 if total <= cur_total:

@@ -3,7 +3,8 @@
 A rank-2 hyperbolic pair models the lattice of a wall together with a
 positive class on it.  The detector searches a coordinate box for an
 isotropic class pairing to 1 with the positive class (criterion A) or
-an effective spherical class pairing negatively (criterion B).
+an effective spherical class pairing negatively (criterion B), solving
+for the box points of square 0 and -2 row by row.
 
 The stratum analyzer runs the full case cascade on a polystable
 decomposition: merge and multiplicity tests backed by the existence of
@@ -15,6 +16,7 @@ test that certifies the product form of a totally semistable stratum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Optional, Sequence, Union
 
 from .decomposition import PolystableDecomposition
@@ -27,7 +29,6 @@ from .errors import (
 from .lattice import (
     GramLattice,
     LatticeVector,
-    iter_box,
     pairing,
     signature,
     square,
@@ -51,10 +52,12 @@ class HyperbolicPair:
     def __post_init__(self):
         if self.lattice.rank != 2:
             raise LatticeMismatchError("hyperbolic pair needs a rank-2 lattice")
-        sig = signature(self.lattice)
-        if sorted(sig[:2]) != [1, 1] or sig[2] != 0:
+        # A rank-2 form has signature (1, 1, 0) exactly when its
+        # determinant is negative.
+        (a, b), (_, d) = self.lattice.gram
+        if a * d - b * b >= 0:
             raise LatticeMismatchError(
-                f"lattice signature {sig} is not (1, 1, 0)"
+                f"lattice signature {signature(self.lattice)} is not (1, 1, 0)"
             )
         if self.v.lattice != self.lattice:
             raise LatticeMismatchError("class lives in a different lattice")
@@ -102,6 +105,45 @@ class TssSearch:
         return self.detected
 
 
+def _box_key(p: tuple[int, int]) -> tuple[int, int, int]:
+    """The box order of ``lattice.iter_box``: shells of growing
+    sup-norm, each in descending lexicographic order."""
+    return max(abs(p[0]), abs(p[1])), -p[0], -p[1]
+
+
+def _conic_points(a: int, b: int, d: int, c: int, bound: int) -> list[tuple[int, int]]:
+    """The nonzero (x, y) with sup-norm <= bound on the conic
+    a x^2 + 2 b x y + d y^2 = c, for a form of negative determinant.
+
+    Solved exactly row by row.  For a != 0 the row y has the roots
+    x = (-b y +- r) / a with r^2 = y^2 (b^2 - a d) + a c.  For a = 0
+    (so b != 0) a row y != 0 is linear, 2 b y x = c - d y^2, and the
+    row y = 0 lies on the conic exactly when c = 0.
+    """
+    disc_step = b * b - a * d
+    if a and c == 0 and isqrt(disc_step) ** 2 != disc_step:
+        return []  # y^2 (b^2 - a d) is a square only at y = 0, where x = 0
+    points = []
+    for y in range(-bound, bound + 1):
+        if a:
+            disc = y * y * disc_step + a * c
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            if r * r != disc:
+                continue
+            for num in {-b * y + r, -b * y - r}:
+                if num % a == 0 and abs(num // a) <= bound and (num or y):
+                    points.append((num // a, y))
+        elif y:
+            num, den = c - d * y * y, 2 * b * y
+            if num % den == 0 and abs(num // den) <= bound:
+                points.append((num // den, y))
+        elif c == 0:
+            points.extend((x, 0) for x in range(-bound, bound + 1) if x)
+    return points
+
+
 def detect_totally_semistable(
     hp: HyperbolicPair,
     z0: StabilityFunction,
@@ -111,34 +153,33 @@ def detect_totally_semistable(
     """Box search for a witness that the wall is totally semistable.
 
     Criterion A: an isotropic w with <v, w> = 1.  Criterion B: an
-    effective spherical s with <v, s> < 0.  One scan of the box tests A
-    on raw integers and collects the spherical candidates with
-    <v, s> < 0 in box order; only once A is ruled out over the whole box
-    is ``effectivity`` consulted, on those candidates in order, up to
-    the first it accepts.  A negative answer certifies only the box.
+    effective spherical s with <v, s> < 0.  The box points of square 0
+    and -2 are solved for exactly, row by row, and tested on raw
+    integers.  The first A witness in box order wins; only when the
+    whole box has none is ``effectivity`` consulted, on the spherical
+    candidates with <v, s> < 0 in box order, up to the first it
+    accepts.  A negative answer certifies only the box.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    z0_v = z0(hp.v)
-    if z0_v.re != 0 or z0_v.im <= 0:
+    # Z0(v) = (re + i*im) / D with D > 0, so it lies in i*Q>0 exactly
+    # when re == 0 and im > 0.
+    re, im = z0._numerators(hp.v)
+    if re != 0 or im <= 0:
         raise NormalizationError(
-            f"reference value Z0(v) = {z0_v!r}; expected a positive multiple of i"
+            f"reference value Z0(v) = {z0(hp.v)!r}; expected a positive multiple of i"
         )
     if effectivity is None:
         effectivity = _effective_against(z0)
     (a, b), (_, d) = hp.lattice.gram
     vx, vy = hp.v.coords
     v0, v1 = vx * a + vy * b, vx * b + vy * d  # the row v . G: <v, (x, y)> = v0 x + v1 y
-    spherical = []
-    for x, y in iter_box(2, bound):
-        q = a * x * x + 2 * b * x * y + d * y * y
-        if q == 0:
-            if v0 * x + v1 * y == 1:
-                w = hp.lattice.vector((x, y))
-                return TssSearch(True, TssWitness("isotropic-pairing-one", w))
-        elif q == -2 and v0 * x + v1 * y < 0:
-            spherical.append((x, y))
-    for coords in spherical:
+    isotropic = [p for p in _conic_points(a, b, d, 0, bound) if v0 * p[0] + v1 * p[1] == 1]
+    if isotropic:
+        w = hp.lattice.vector(min(isotropic, key=_box_key))
+        return TssSearch(True, TssWitness("isotropic-pairing-one", w))
+    spherical = [p for p in _conic_points(a, b, d, -2, bound) if v0 * p[0] + v1 * p[1] < 0]
+    for coords in sorted(spherical, key=_box_key):
         s = hp.lattice.vector(coords)
         if effectivity(s):
             return TssSearch(True, TssWitness("effective-spherical", s))

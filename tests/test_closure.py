@@ -14,6 +14,7 @@ spaces and in budget charged.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -37,6 +38,7 @@ from quivermoduli.representation import (
     _BudgetMeter,
     _out_maps,
     _prng_seeds,
+    _replay,
     _SeedClosures,
 )
 
@@ -235,7 +237,9 @@ def test_sum_of_closures_matches_reference(case, slack):
     expected_meter = _BudgetMeter(UNMETERED)
     expected = reference_closure(out_maps, rep.n, seeds, expected_meter, base)
     before = closures.meter.used
+    given_seeds = list(seeds)
     spaces, dims = closures.generated(seeds, base)
+    assert seeds == given_seeds
     assert [space.basis() for space in spaces] == [space.basis() for space in expected]
     assert dims == [space.dim for space in expected]
     assert closures.meter.used - before == expected_meter.used
@@ -336,3 +340,36 @@ def test_prng_seeds_match_fraction_construction():
         for seed in range(300):
             limits = SearchLimits(seed=seed, prng_samples=4)
             assert list(_prng_seeds(rep, limits)) == list(fraction_prng_seeds(n, limits))
+
+
+def test_replay_draws_only_what_its_passes_read():
+    drawn = []
+
+    def seed_sets():
+        for k in range(5):
+            drawn.append(k)
+            yield "basis", [(0, (k,))]
+
+    replay = _replay(seed_sets())
+    first = list(itertools.islice(replay(), 2))
+    assert drawn == [0, 1]
+    assert list(replay()) == [("basis", [(0, (k,))]) for k in range(5)]
+    assert list(itertools.islice(replay(), 2)) == first
+    assert list(replay()) == list(replay())
+    assert drawn == [0, 1, 2, 3, 4]
+
+
+def test_filtration_draws_its_seed_sets_once(monkeypatch):
+    """Every filtration step replays one draw of the seed sets rather
+    than building the seeds (and redrawing the PRNG ones) afresh."""
+    calls = []
+
+    def counted(rep, limits):
+        calls.append(limits)
+        return _all_seeds(rep, limits)
+
+    monkeypatch.setattr(representation, "_all_seeds", counted)
+    rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ((0, 1, 2),)), (2, 1))
+    got = jordan_holder_search(rep, (0, 0))
+    assert got.complete and got.graded_dims == ((1, 0), (1, 0), (0, 1))
+    assert len(calls) == 1

@@ -7,7 +7,10 @@ vector, the first criterion-A witness and the order in which a custom
 effectivity predicate is consulted all follow it.  These tests pin the
 enumeration to its defining filtered product, the predicate's calls to
 the box order, and the detector's answers over the criterion-7 grid to
-a digest recorded from the object-level implementation.  The other
+a digest recorded from the object-level implementation.  The detector
+solves its two conics row by row rather than walking the box, so it is
+also compared with the brute-force box scan at Gram entries and bounds
+up to 60, zero diagonals and planted witnesses included.  The other
 kernels are pinned the same way, each by a digest recorded from the
 Fraction or per-cell tuple implementation it replaced; the splitting
 table is also checked against a brute-force multiset oracle.
@@ -22,7 +25,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quivermoduli import (
@@ -232,6 +235,102 @@ def test_detector_matches_reference(case, bound):
         witness.witness if witness else None,
         got.searched_bound,
     ) == reference_detect(hp, z0, bound)
+
+
+# Forms of negative determinant with isotropic or spherical classes;
+# moved by unimodular congruences they carry witnesses far from the
+# coordinate axes.
+PLANTED_GRAMS = (
+    ((0, 1), (1, 0)),
+    ((0, 1), (1, -2)),
+    ((-2, 1), (1, 0)),
+    ((2, 1), (1, -2)),
+    ((-2, 0), (0, 2)),
+    ((-2, 1), (1, 4)),
+)
+
+
+@st.composite
+def large_grams(draw):
+    """A Gram matrix with entries in [-60, 60] and negative determinant:
+    free entries with a = 0, d = 0 or both drawn on purpose, or a
+    planted form under a product of elementary congruences."""
+    entries = st.integers(-60, 60)
+    shape = draw(st.sampled_from(["planted", "free", "a", "d", "both"]))
+    if shape != "planted":
+        a = 0 if shape in ("a", "both") else draw(entries)
+        d = 0 if shape in ("d", "both") else draw(entries)
+        b = draw(entries.filter(lambda b: a * d < b * b))
+        return ((a, b), (b, d))
+    (a, b), (_, d) = draw(st.sampled_from(PLANTED_GRAMS))
+    for t, lower in draw(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), max_size=4)):
+        if lower:  # e1 -> e1 + t e2
+            a, b = a + 2 * t * b + t * t * d, b + t * d
+        else:  # e2 -> e2 + t e1
+            b, d = b + t * a, d + 2 * t * b + t * t * a
+    assume(max(abs(a), abs(b), abs(d)) <= 60)
+    return ((a, b), (b, d))
+
+
+@st.composite
+def large_wall_cases(draw):
+    """A large-entry Gram matrix, a class of positive square and
+    Z0 = i (c_x, c_y) with Z0(v) a positive multiple of i."""
+    gram = draw(large_grams())
+    positive = [v for v in itertools.product(range(-6, 7), repeat=2) if form2(gram, v, v) > 0]
+    assume(positive)
+    v = draw(st.sampled_from(positive))
+    c = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
+        lambda c: c[0] * v[0] + c[1] * v[1] > 0))
+    return gram, v, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=large_wall_cases(), bound=st.integers(1, 60))
+@example(case=(((0, 1), (1, 0)), (1, 1), (1, 1)), bound=9)
+@example(case=(((0, 3), (3, -2)), (1, 1), (1, 0)), bound=9)
+@example(case=(((2, 3), (3, 0)), (1, 0), (1, 1)), bound=9)
+def test_detector_matches_reference_on_large_entries(case, bound):
+    gram, v, c = case
+    lat = GramLattice(gram)
+    hp = HyperbolicPair(lat, lat.vector(v))
+    z0 = StabilityFunction(lat, (G.of(0, c[0]), G.of(0, c[1])))
+    got = detect_totally_semistable(hp, z0, bound)
+    witness = got.witness
+    assert (
+        got.detected,
+        witness.criterion if witness else None,
+        witness.witness if witness else None,
+        got.searched_bound,
+    ) == reference_detect(hp, z0, bound)
+    for accept in (lambda s: False, lambda s: (s[0] + 2 * s[1]) % 3 == 0):
+        calls = []
+
+        def predicate(s):
+            calls.append(s.coords)
+            return accept(s.coords)
+
+        detect_totally_semistable(hp, z0, bound, effectivity=predicate)
+        assert calls == expected_effectivity_calls(gram, v, bound, accept)
+
+
+@pytest.mark.parametrize("bound,expected", [
+    (52, None),
+    (53, (53, -22)),
+    (120, (53, -22)),
+])
+def test_far_spherical_witness(bound, expected):
+    # The first effective spherical class of this wall lies on the
+    # shell of sup-norm 53; no smaller box holds a witness.
+    lat = GramLattice(((-6, -1), (-1, 30)))
+    hp, z0 = reference_pair(lat, (3, 2))
+    got = detect_totally_semistable(hp, z0, bound)
+    if expected is None:
+        assert not got.detected and got.searched_bound == bound
+    else:
+        assert got.witness.criterion == "effective-spherical"
+        assert got.witness.witness.coords == expected
+        assert got.searched_bound is None
 
 
 # -- degree vectors and the wall dictionary ----------------------------

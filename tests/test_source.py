@@ -46,6 +46,28 @@ def test_linalg_has_no_function_only_tests_use():
     assert public and sorted(public - used) == []
 
 
+def test_library_has_no_unused_imports():
+    # Every name a module imports must be read in that module; the
+    # package __init__ imports only to re-export.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
+
+
 def readme_commands() -> list[tuple[str, int, tuple[str, ...]]]:
     """(``group action``, number of positionals, flags) for each entry of
     the README's "Commands:" block, in order."""

@@ -4,6 +4,12 @@ A :class:`GramLattice` is an arbitrary integral symmetric Gram matrix;
 :class:`LatticeVector` is an integer class in it.  The pairing is the
 only structure anything downstream ever uses, so Mukai-type lattices
 are simply instances with the appropriate Gram matrix.
+
+Box searches certify a sup-norm box and answer in its order
+(``iter_box``).  In rank 2 they solve the conic q(x, y) = c exactly,
+row by row (``_conic_points``), instead of walking the box; the
+totally-semistable wall detector in ``stratum`` shares that solver.
+Everything here is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -11,8 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 from typing import Iterable, Iterator, Optional
 
@@ -226,15 +231,62 @@ def find_isotropic(lat: GramLattice, bound: int) -> Optional[LatticeVector]:
     """First nonzero v with v^2 = 0 in the sup-norm box, or None.
 
     Exhaustive over the box: a None answer certifies that no isotropic
-    vector with all |coords| <= bound exists.
+    vector with all |coords| <= bound exists.  Rank 2 solves the conic
+    row by row and takes the first point in box order; other ranks walk
+    the box.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     gram = lat.gram
+    if lat.rank == 2:
+        (a, b), (_, d) = gram
+        first = min(_conic_points(a, b, d, 0, bound), key=_box_key, default=None)
+        return None if first is None else lat.vector(first)
     for cand in iter_box(lat.rank, bound):
         if _form(gram, cand, cand) == 0:
             return lat.vector(cand)
     return None
+
+
+def _box_key(p: tuple[int, int]) -> tuple[int, int, int]:
+    """The box order of ``iter_box`` in rank 2: shells of growing
+    sup-norm, each in descending lexicographic order."""
+    return max(abs(p[0]), abs(p[1])), -p[0], -p[1]
+
+
+def _conic_points(a: int, b: int, d: int, c: int, bound: int) -> list[tuple[int, int]]:
+    """The nonzero (x, y) with sup-norm <= bound on the conic
+    a x^2 + 2 b x y + d y^2 = c, for any integers a, b, d and c.
+
+    Solved exactly row by row, in no particular order.  For a != 0 the
+    row y has the roots x = (-b y +- r) / a with r^2 = y^2 (b^2 - a d) + a c.
+    For a = 0 the row y is linear, 2 b y x = c - d y^2; where its
+    coefficient 2 b y vanishes the row is constant, d y^2, and lies on
+    the conic along its whole length or not at all.
+    """
+    disc_step = b * b - a * d
+    if a and c == 0 and (disc_step < 0 or isqrt(disc_step) ** 2 != disc_step):
+        return []  # y^2 (b^2 - a d) is a square only at y = 0, where x = 0
+    points = []
+    for y in range(-bound, bound + 1):
+        if a:
+            disc = y * y * disc_step + a * c
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            if r * r != disc:
+                continue
+            for num in {-b * y + r, -b * y - r}:
+                if num % a == 0 and abs(num // a) <= bound and (num or y):
+                    points.append((num // a, y))
+            continue
+        num, den = c - d * y * y, 2 * b * y
+        if den:
+            if num % den == 0 and abs(num // den) <= bound:
+                points.append((num // den, y))
+        elif num == 0:
+            points.extend((x, y) for x in range(-bound, bound + 1) if x or y)
+    return points
 
 
 def sublattice_gram(
@@ -268,21 +320,28 @@ def sublattice_gram(
 
 
 def _int_det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every entry stays an integer, and each division by the
+    previous pivot is exact by Sylvester's identity."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
         if piv is None:
             return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                c = m[r][col] / m[col][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    if det.denominator != 1:
-        raise InternalInvariantError(f"integer matrix with determinant {det}")
-    return int(det)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        row_k, p = m[k], m[k][k]
+        for r in range(k + 1, n):
+            row, c = m[r], m[r][k]
+            for j in range(k + 1, n):
+                q, rem = divmod(p * row[j] - c * row_k[j], prev)
+                if rem:
+                    raise InternalInvariantError(
+                        f"inexact Bareiss division by the pivot {prev}"
+                    )
+                row[j] = q
+        prev = p
+    return sign * prev

@@ -4,7 +4,8 @@ A rank-2 hyperbolic pair models the lattice of a wall together with a
 positive class on it.  The detector searches a coordinate box for an
 isotropic class pairing to 1 with the positive class (criterion A) or
 an effective spherical class pairing negatively (criterion B), solving
-for the box points of square 0 and -2 row by row.
+for the box points of square 0 and -2 row by row with the lattice's
+rank-2 conic solver.
 
 The stratum analyzer runs the full case cascade on a polystable
 decomposition: merge and multiplicity tests backed by the existence of
@@ -16,7 +17,6 @@ test that certifies the product form of a totally semistable stratum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Callable, Optional, Sequence, Union
 
 from .decomposition import PolystableDecomposition
@@ -29,6 +29,8 @@ from .errors import (
 from .lattice import (
     GramLattice,
     LatticeVector,
+    _box_key,
+    _conic_points,
     pairing,
     signature,
     square,
@@ -103,45 +105,6 @@ class TssSearch:
 
     def __bool__(self) -> bool:
         return self.detected
-
-
-def _box_key(p: tuple[int, int]) -> tuple[int, int, int]:
-    """The box order of ``lattice.iter_box``: shells of growing
-    sup-norm, each in descending lexicographic order."""
-    return max(abs(p[0]), abs(p[1])), -p[0], -p[1]
-
-
-def _conic_points(a: int, b: int, d: int, c: int, bound: int) -> list[tuple[int, int]]:
-    """The nonzero (x, y) with sup-norm <= bound on the conic
-    a x^2 + 2 b x y + d y^2 = c, for a form of negative determinant.
-
-    Solved exactly row by row.  For a != 0 the row y has the roots
-    x = (-b y +- r) / a with r^2 = y^2 (b^2 - a d) + a c.  For a = 0
-    (so b != 0) a row y != 0 is linear, 2 b y x = c - d y^2, and the
-    row y = 0 lies on the conic exactly when c = 0.
-    """
-    disc_step = b * b - a * d
-    if a and c == 0 and isqrt(disc_step) ** 2 != disc_step:
-        return []  # y^2 (b^2 - a d) is a square only at y = 0, where x = 0
-    points = []
-    for y in range(-bound, bound + 1):
-        if a:
-            disc = y * y * disc_step + a * c
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            if r * r != disc:
-                continue
-            for num in {-b * y + r, -b * y - r}:
-                if num % a == 0 and abs(num // a) <= bound and (num or y):
-                    points.append((num // a, y))
-        elif y:
-            num, den = c - d * y * y, 2 * b * y
-            if num % den == 0 and abs(num // den) <= bound:
-                points.append((num // den, y))
-        elif c == 0:
-            points.extend((x, 0) for x in range(-bound, bound + 1) if x)
-    return points
 
 
 def detect_totally_semistable(

@@ -10,13 +10,16 @@ to a character, and wall equations correspond exactly.
 Degree vectors are computed on cleared integer numerators that share
 one positive denominator, so the slice test and the wall guard are
 zero tests on integers; only returned values become ``Fraction``s,
-identical to those of a per-coordinate ``Fraction`` evaluation.
+identical to those of a per-coordinate ``Fraction`` evaluation.  A
+character point is cleared the same way once, so its annihilation
+check, its dot products and chamber signs are integer too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -44,13 +47,33 @@ class CharacterPoint:
             raise LatticeMismatchError(
                 f"character of length {len(theta)} against dimension vector of length {len(n)}"
             )
-        if sum((t * x for t, x in zip(theta, n)), Fraction(0)) != 0:
+        if _dot(self._cleared[1], n) != 0:
             raise LatticeMismatchError(
                 "character does not annihilate the dimension vector"
             )
 
+    # Built once per point from the frozen theta; the cache lives
+    # outside the fields, which alone make up __eq__, __hash__ and
+    # __repr__.
+    @cached_property
+    def _cleared(self) -> tuple[int, tuple[int, ...]]:
+        """(D, nums): theta as nums / D over the least common positive
+        denominator D."""
+        den = lcm(*(t.denominator for t in self.theta))
+        return den, tuple(t.numerator * (den // t.denominator) for t in self.theta)
+
+    def _dot_numerator(self, alpha: Sequence[int]) -> int:
+        """theta . alpha times the positive denominator of ``_cleared``."""
+        nums = self._cleared[1]
+        alpha = [int(a) for a in alpha]
+        if len(alpha) != len(nums):
+            raise LatticeMismatchError(
+                f"vector of length {len(alpha)} against a character of length {len(nums)}"
+            )
+        return _dot(nums, alpha)
+
     def dot(self, alpha: Sequence[int]) -> Fraction:
-        return sum((t * int(a) for t, a in zip(self.theta, alpha)), Fraction(0))
+        return Fraction(self._dot_numerator(alpha), self._cleared[0])
 
 
 @dataclass(frozen=True)
@@ -128,7 +151,7 @@ class ChamberSignature:
 def locate_chamber(theta: CharacterPoint, walls: Sequence[Wall]) -> ChamberSignature:
     signs = []
     for wall in walls:
-        value = theta.dot(wall.alpha)
+        value = theta._dot_numerator(wall.alpha)
         signs.append(0 if value == 0 else (1 if value > 0 else -1))
     return ChamberSignature(tuple(signs), tuple(walls))
 

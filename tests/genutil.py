@@ -176,6 +176,27 @@ def inverse(a):
 # Rational matrix arithmetic for the oracles; the library runs on integers.
 
 
+def fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination with
+    Fraction division: the reference for the library's fraction-free
+    integer determinant."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            c = m[r][col] / m[col][col]
+            m[r] = [x - c * y for x, y in zip(m[r], m[col])]
+    return det
+
+
 def add(a: Mat, b: Mat) -> Mat:
     if shape(a) != shape(b):
         raise ShapeMismatchError(f"cannot add {shape(a)} and {shape(b)}")

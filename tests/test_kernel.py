@@ -10,7 +10,9 @@ the box order, and the detector's answers over the criterion-7 grid to
 a digest recorded from the object-level implementation.  The detector
 solves its two conics row by row rather than walking the box, so it is
 also compared with the brute-force box scan at Gram entries and bounds
-up to 60, zero diagonals and planted witnesses included.  The other
+up to 60, zero diagonals and planted witnesses included; the rank-2
+conic solver it shares with ``find_isotropic`` is checked against a
+box scan on forms of every kind.  The other
 kernels are pinned the same way, each by a digest recorded from the
 Fraction or per-cell tuple implementation it replaced; the splitting
 table is also checked against a brute-force multiset oracle.
@@ -47,7 +49,7 @@ from quivermoduli import (
     wall_correspondence_holds,
 )
 from quivermoduli.errors import QuiverModuliError
-from quivermoduli.lattice import iter_box
+from quivermoduli.lattice import _conic_points, iter_box
 from quivermoduli.quiver import DEFAULT_ROOT_BUDGET
 from quivermoduli.scenario import to_wire
 from quivermoduli.stability import GaussianRational as G
@@ -205,6 +207,61 @@ def reference_detect(hp, z0, bound):
 def test_find_isotropic_matches_reference(gram, bound):
     lat = GramLattice(gram)
     assert find_isotropic(lat, bound) == reference_isotropic(lat, bound)
+
+
+# sha256 of find_isotropic over every rank-2 Gram matrix with entries in
+# [-4, 4] at bounds 1-9 (729 forms each), recorded from the box walk.
+ISOTROPIC_CUBE_DIGEST = "db7d7a6597175b06bee8d4d18e298b830f3472dd56f67695b62ec1fe8c888004"
+
+
+def test_find_isotropic_matches_recorded_digest():
+    lines = []
+    for bound in range(1, 10):
+        for a, b, d in itertools.product(range(-4, 5), repeat=3):
+            found = find_isotropic(GramLattice(((a, b), (b, d))), bound)
+            lines.append(json.dumps([bound, a, b, d, found.coords if found else None]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ISOTROPIC_CUBE_DIGEST
+
+
+@st.composite
+def rank_2_forms(draw):
+    """(a, b, d) of every kind: free, definite, semidefinite (a
+    multiple of a square), zero, a = 0, a = b = 0 and d = 0."""
+    entries = st.integers(-30, 30)
+    kind = draw(st.sampled_from(
+        ["free", "definite", "semidefinite", "zero", "a", "ab", "d"]))
+    if kind == "definite":
+        sign = draw(st.sampled_from([1, -1]))
+        a, d = sign * draw(st.integers(1, 30)), sign * draw(st.integers(1, 30))
+        return a, draw(entries.filter(lambda b: b * b < a * d)), d
+    if kind == "semidefinite":  # k (p x + q y)^2
+        k, p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        return k * p * p, k * p * q, k * q * q
+    if kind == "zero":
+        return 0, 0, 0
+    a = 0 if kind in ("a", "ab") else draw(entries)
+    b = 0 if kind == "ab" else draw(entries)
+    d = 0 if kind == "d" else draw(entries)
+    return a, b, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(form=rank_2_forms(), c=st.one_of(st.just(0), st.just(-2), st.integers(-60, 60)),
+       bound=st.integers(1, 15))
+@example(form=(0, 0, 0), c=0, bound=3)
+@example(form=(0, 0, -2), c=-2, bound=4)
+@example(form=(0, 0, 2), c=0, bound=2)
+@example(form=(2, 1, 2), c=0, bound=5)
+@example(form=(1, 2, 4), c=0, bound=6)
+def test_conic_points_match_box_scan(form, c, bound):
+    a, b, d = form
+    side = range(-bound, bound + 1)
+    expected = sorted(
+        (x, y) for x in side for y in side
+        if (x or y) and a * x * x + 2 * b * x * y + d * y * y == c
+    )
+    assert sorted(_conic_points(a, b, d, c, bound)) == expected
 
 
 @st.composite

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivermoduli import (
@@ -19,8 +19,9 @@ from quivermoduli import (
     sublattice_gram,
 )
 from quivermoduli.errors import LatticeMismatchError, PrimitivityError
+from quivermoduli.lattice import _int_det
 
-from genutil import random_even_lattice
+from genutil import fraction_det, random_even_lattice
 
 
 class TestPairing:
@@ -168,6 +169,31 @@ def symmetric_matrices(draw):
 @given(gram=symmetric_matrices())
 def test_signature_matches_fraction_reference(gram):
     assert signature(GramLattice(gram)) == fraction_signature(gram)
+
+
+@st.composite
+def square_matrices(draw):
+    """Sizes 0-6: free integer entries, or a matrix with one row a
+    combination of two others, so singular ones are common."""
+    n = draw(st.integers(0, 6))
+    rows = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[k] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=square_matrices())
+@example(rows=[])
+@example(rows=[[0, 1], [1, 0]])
+@example(rows=[[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example(rows=[[2, 4], [1, 2]])
+def test_int_det_matches_fraction_reference(rows):
+    before = [list(row) for row in rows]
+    assert _int_det(rows) == fraction_det(rows)
+    assert rows == before  # the caller's matrix is not eliminated in place
 
 
 class TestFindIsotropic:

@@ -68,6 +68,18 @@ def test_library_has_no_unused_imports():
     assert unused == []
 
 
+def test_lattice_imports_nothing_from_fractions():
+    # The lattice kernels are integer arithmetic throughout.
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "lattice.py").read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import)
+            and any(alias.name == "fractions" for alias in node.names))
+    ]
+    assert found == []
+
+
 def readme_commands() -> list[tuple[str, int, tuple[str, ...]]]:
     """(``group action``, number of positionals, flags) for each entry of
     the README's "Commands:" block, in order."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
@@ -23,9 +25,15 @@ from quivermoduli import (
 from quivermoduli.errors import DegenerateValueError, LatticeMismatchError
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stability import I
-from quivermoduli.walls import degree_of_class, wall_class
+from quivermoduli.walls import Wall, degree_of_class, wall_class
 
-from genutil import add_stability, random_decomposition, random_gaussian
+from genutil import (
+    add_stability,
+    orthogonal_character,
+    random_decomposition,
+    random_gaussian,
+    random_quiver,
+)
 
 HYP = GramLattice(((-2, 2), (2, -2)), even=True)
 DEC = PolystableDecomposition.of([(HYP.vector((1, 0)), 1), (HYP.vector((0, 1)), 1)])
@@ -339,3 +347,38 @@ def test_character_point_validates():
         CharacterPoint((Q(1), Q(1)), (1, 1))
     with pytest.raises(LatticeMismatchError):
         CharacterPoint((Q(1),), (1, 1))
+
+
+@pytest.mark.parametrize("alpha", [(1,), (1, 0, 0), ()])
+def test_dot_rejects_a_vector_of_the_wrong_length(alpha):
+    theta = CharacterPoint((1, -1), (1, 1))
+    with pytest.raises(LatticeMismatchError):
+        theta.dot(alpha)
+    with pytest.raises(LatticeMismatchError):
+        locate_chamber(theta, [Wall(alpha, False, False)])
+
+
+# sha256 of chamber signs and dot values over 300 seeded random quivers,
+# dimension vectors and characters, recorded from the Fraction-valued
+# dot product.
+CHAMBER_DIGEST = "efdc3ce661e2fc5e4b9b75f8a3e63ecd2a74f2d463dca45361870656f79360d4"
+
+
+def test_chamber_signs_and_dots_match_recorded_digest():
+    rng = random.Random(20240)
+    lines = []
+    for _ in range(300):
+        q = random_quiver(rng, 4)
+        n = tuple(rng.randint(0, 3) for _ in q.loops)
+        theta = orthogonal_character(rng, n) or tuple(Q(0) for _ in n)
+        scale = Q(rng.randint(1, 5), rng.randint(1, 6))
+        point = CharacterPoint(tuple(t * scale for t in theta), n)
+        walls = enumerate_walls(q, n)
+        alphas = [w.alpha for w in walls] + [
+            tuple(rng.randint(-4, 4) for _ in n) for _ in range(3)]
+        lines.append(json.dumps([
+            n, [str(t) for t in point.theta], locate_chamber(point, walls).signs,
+            [str(point.dot(a)) for a in alphas],
+        ]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CHAMBER_DIGEST

@@ -50,9 +50,7 @@ from .representation import (
     SearchLimits,
     SubrepWitness,
     destabilizer_search,
-    git_character,
     in_zero_fiber,
-    integral_character,
     jordan_holder_search,
     moment_map,
     theta_slope,

@@ -21,7 +21,6 @@ Exit codes: 0 success (honest not-found/incomplete results included),
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -40,7 +39,7 @@ from .quiver import (
     quadratic_form,
     simple_rep_exists,
 )
-from .scenario import Scenario, load_scenario, to_wire
+from .scenario import Scenario, json_digest, load_scenario, to_wire
 from .stability import WeightedFiltration, normalize
 from .stratum import HyperbolicPair, analyze_stratum, detect_totally_semistable
 
@@ -77,8 +76,7 @@ class Report:
         }
 
     def results_digest(self) -> str:
-        blob = json.dumps(self.results, sort_keys=True, separators=(",", ":"))
-        return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        return json_digest(self.results)
 
     def as_json(self, pretty: bool = False) -> str:
         doc = dict(self.payload(), timing_ms=self.timing_ms,

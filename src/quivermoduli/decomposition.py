@@ -69,10 +69,7 @@ class PolystableDecomposition:
         return tuple(n for _, n in self.summands)
 
     def total(self) -> LatticeVector:
-        out = self.lattice.zero()
-        for v, n in self.summands:
-            out = out + n * v
-        return out
+        return self.combination(self.multiplicities)
 
     def combination(self, coeffs: Iterable[int]) -> LatticeVector:
         """The class sum(a_i * v_i) for integer coefficients a_i."""

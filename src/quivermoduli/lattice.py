@@ -231,14 +231,15 @@ def find_isotropic(lat: GramLattice, bound: int) -> Optional[LatticeVector]:
     """First nonzero v with v^2 = 0 in the sup-norm box, or None.
 
     Exhaustive over the box: a None answer certifies that no isotropic
-    vector with all |coords| <= bound exists.  Rank 2 solves the conic
-    row by row and takes the first point in box order; other ranks walk
-    the box.
+    vector with all |coords| <= bound exists.  A nonzero rank-2 form
+    solves the conic row by row and takes the first point in box order;
+    other forms walk the box, where the zero form stops at its first
+    cell.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     gram = lat.gram
-    if lat.rank == 2:
+    if lat.rank == 2 and any(map(any, gram)):
         (a, b), (_, d) = gram
         first = min(_conic_points(a, b, d, 0, bound), key=_box_key, default=None)
         return None if first is None else lat.vector(first)

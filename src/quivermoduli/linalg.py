@@ -46,12 +46,19 @@ def is_zero_matrix(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def _cleared(entries: Iterable) -> tuple[int, ...]:
-    """Rational entries times the lcm of their denominators: a positive
-    multiple of the vector in Z^n."""
-    entries = [Fraction(x) for x in entries]
-    den = lcm(*(x.denominator for x in entries))
-    return tuple(x.numerator * (den // x.denominator) for x in entries)
+def clear(entries: Sequence) -> tuple[int, tuple[int, ...]]:
+    """(D, nums): the rational entries (ints or ``Fraction``s) as
+    nums / D over their least positive common denominator D.  The one
+    place a rational vector is cleared to integers."""
+    den = lcm(*[x.denominator for x in entries])
+    return den, tuple([x.numerator * (den // x.denominator) for x in entries])
+
+
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries; the zero
+    vector is its own."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 class RowSpace:
@@ -85,7 +92,7 @@ class RowSpace:
             raise ShapeMismatchError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
-        return _cleared(v)
+        return clear([Fraction(x) for x in v])[1]
 
     def _reduce(self, w: Sequence[int]) -> Sequence[int]:
         """A positive multiple of ``w`` minus its part in the span; it

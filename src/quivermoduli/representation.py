@@ -30,8 +30,8 @@ from .errors import (
     LatticeMismatchError,
     ShapeMismatchError,
 )
-from .linalg import Mat, RowSpace, Vec, _cleared
-from .quiver import Arrow, DimVector, ExtQuiver
+from .linalg import Mat, RowSpace, Vec, clear, primitive
+from .quiver import Arrow, DimVector, ExtQuiver, _check_length
 
 DEFAULT_SEARCH_BUDGET = 100_000
 
@@ -51,13 +51,8 @@ class DoubleQuiverRep:
     y_maps: tuple[Mat, ...]
 
     def __post_init__(self):
-        n = tuple(int(x) for x in self.n)
+        n = _check_length(self.quiver, self.n)
         object.__setattr__(self, "n", n)
-        if len(n) != self.quiver.num_vertices:
-            raise LatticeMismatchError(
-                f"dimension vector of length {len(n)} for "
-                f"{self.quiver.num_vertices} vertices"
-            )
         arrows = self.quiver.arrow_list()
         x_maps = tuple(linalg.matrix(m) for m in self.x_maps)
         y_maps = tuple(linalg.matrix(m) for m in self.y_maps)
@@ -90,8 +85,8 @@ class DoubleQuiverRep:
     # __repr__.
     @cached_property
     def _integral_maps(self) -> tuple[tuple[tuple[IntMat, int], tuple[IntMat, int]], ...]:
-        """Per arrow, (x_e, y_e) each as an integer matrix with the lcm
-        of its denominators.  The only place a map is cleared."""
+        """Per arrow, (x_e, y_e) each as an integer matrix with its least
+        common denominator.  The only place a map is cleared."""
         return tuple((_integral(x), _integral(y)) for x, y in zip(self.x_maps, self.y_maps))
 
     @property
@@ -113,10 +108,11 @@ IntMat = tuple[tuple[int, ...], ...]
 
 
 def _integral(mat: Mat) -> tuple[IntMat, int]:
-    """``mat`` as an integer matrix and the lcm of its denominators,
-    which divides it back."""
-    den = lcm(*(e.denominator for row in mat for e in row))
-    return tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in mat), den
+    """``mat`` as an integer matrix of the same shape and its least
+    common denominator, which divides it back."""
+    den, flat = clear([e for row in mat for e in row])
+    width = len(mat[0]) if mat else 0
+    return tuple(flat[k * width:(k + 1) * width] for k in range(len(mat))), den
 
 
 def _int_matmul(a: IntMat, b: IntMat) -> IntMat:
@@ -429,10 +425,7 @@ def _grid_directions(dim: int, radius: int) -> tuple[tuple[int, ...], ...]:
         lead = next(c for c in cand if c != 0)
         if lead < 0:
             cand = tuple(-c for c in cand)
-        g = 0
-        for c in cand:
-            g = gcd(g, abs(c))
-        cand = tuple(c // g for c in cand)
+        cand = primitive(cand)
         if cand not in seen:
             seen.add(cand)
             out.append(cand)
@@ -454,7 +447,7 @@ def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...],
             if space.dim == size:
                 seen.add(space.basis())
     ordered = sorted(seen, key=lambda basis: (len(basis), basis))
-    return tuple(tuple(_cleared(row) for row in basis) for basis in ordered)
+    return tuple(tuple(clear(row)[1] for row in basis) for basis in ordered)
 
 
 def _grid_seeds(
@@ -554,7 +547,7 @@ def destabilizer_search(
     closure of any tried seed has positive slope.
     """
     theta = _vanishing_character(rep, theta)
-    signs = _cleared(theta)
+    _, signs = clear(theta)
     meter = _BudgetMeter(limits.budget)
     closures = _SeedClosures(rep, meter)
     counts: dict[str, int] = {}
@@ -601,7 +594,7 @@ def jordan_holder_search(
     theta = _vanishing_character(rep, theta)
     if limits.budget <= 0:
         return FiltrationResult(False, reason="zero search budget")
-    signs = _cleared(theta)
+    _, signs = clear(theta)
     meter = _BudgetMeter(limits.budget)
     closures = _SeedClosures(rep, meter)
     seed_sets = _replay(_all_seeds(rep, limits))
@@ -642,20 +635,3 @@ def jordan_holder_search(
         for prev, cur in zip(dims, dims[1:])
     )
     return FiltrationResult(True, steps=tuple(steps), graded_dims=graded)
-
-
-@dataclass(frozen=True)
-class GitCharacter:
-    """Integer exponents of a determinant character on the gauge group."""
-
-    exponents: tuple[int, ...]
-
-
-def git_character(theta: Sequence[int]) -> GitCharacter:
-    """Tag an integer vector as determinant-character exponents."""
-    return GitCharacter(tuple(int(t) for t in theta))
-
-
-def integral_character(exponents: Sequence) -> GitCharacter:
-    """Clear denominators of rational exponents by their lcm."""
-    return GitCharacter(_cleared(exponents))

@@ -166,10 +166,14 @@ class Scenario:
         raise QuiverModuliError(f"decomposition class {v.coords} has no name")
 
     def digest(self) -> str:
-        payload = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        ).encode()
-        return "sha256:" + hashlib.sha256(payload).hexdigest()
+        return json_digest(self.canonical())
+
+
+def json_digest(doc) -> str:
+    """SHA-256 of the canonical JSON bytes of ``doc``: sorted keys, no
+    whitespace."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
 def _section(doc: dict, key: str, entries: str, violations: list) -> dict:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
-from operator import mul
+from functools import cached_property, reduce
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .decomposition import PolystableDecomposition
@@ -26,6 +25,7 @@ from .errors import (
     OutsideHeartError,
 )
 from .lattice import GramLattice, LatticeVector
+from .linalg import clear, primitive
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,7 @@ class Phase:
             raise OutsideHeartError(
                 f"value {value!r} lies outside the heart's half-plane"
             )
-        num_re, num_im = value.re.numerator, value.im.numerator
-        den_re, den_im = value.re.denominator, value.im.denominator
-        a = num_re * den_im
-        b = num_im * den_re
-        g = gcd(abs(a), abs(b))
-        return cls((a // g, b // g))
+        return cls(primitive(clear((value.re, value.im))[1]))
 
     @property
     def as_fraction(self) -> Optional[Fraction]:
@@ -202,14 +197,8 @@ class StabilityFunction:
     def _cleared(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D, xs, ys): the basis values as (xs[k] + i*ys[k]) / D over
         their least common positive denominator D."""
-        den = 1
-        for z in self.values:
-            den = lcm(den, z.re.denominator, z.im.denominator)
-        return (
-            den,
-            tuple(z.re.numerator * (den // z.re.denominator) for z in self.values),
-            tuple(z.im.numerator * (den // z.im.denominator) for z in self.values),
-        )
+        den, nums = clear([x for z in self.values for x in (z.re, z.im)])
+        return den, nums[0::2], nums[1::2]
 
     def _numerators(self, v: LatticeVector) -> tuple[int, int]:
         """Z(v) = (x + i*y) / D as the integer pair (x, y), with D the
@@ -258,6 +247,11 @@ def _check_normalized(z: StabilityFunction, total: LatticeVector) -> None:
         )
 
 
+def _class_sum(pairs: Sequence[tuple[int, LatticeVector]]) -> LatticeVector:
+    """The sum of the classes of nonempty (integer, class) pairs."""
+    return reduce(add, (v for _, v in pairs))
+
+
 @dataclass(frozen=True)
 class WeightedFiltration:
     """Steps (w_j, class of the j-th graded piece), weights strictly
@@ -275,10 +269,7 @@ class WeightedFiltration:
                 raise ValueError(f"weights must strictly decrease; got {w1} then {w2}")
 
     def total(self) -> LatticeVector:
-        out = self.steps[0][1]
-        for _, v in self.steps[1:]:
-            out = out + v
-        return out
+        return _class_sum(self.steps)
 
 
 def filtration_weight(z: StabilityFunction, filt: WeightedFiltration) -> Fraction:
@@ -309,10 +300,7 @@ class FormalKClass:
 
     def at_one(self) -> LatticeVector:
         """Specialize u = 1: the sum of all coefficients."""
-        out = self.terms[0][1]
-        for _, v in self.terms[1:]:
-            out = out + v
-        return out
+        return _class_sum(self.terms)
 
 
 def k_class(filt: WeightedFiltration) -> FormalKClass:

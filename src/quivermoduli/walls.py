@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .decomposition import PolystableDecomposition
 from .errors import DegenerateValueError, LatticeMismatchError
-from .lattice import LatticeVector
+from .linalg import clear, primitive
 from .quiver import DEFAULT_ROOT_BUDGET, DimVector, ExtQuiver, enumerate_positive_roots
 from .stability import GaussianRational, StabilityFunction
 
@@ -59,8 +58,7 @@ class CharacterPoint:
     def _cleared(self) -> tuple[int, tuple[int, ...]]:
         """(D, nums): theta as nums / D over the least common positive
         denominator D."""
-        den = lcm(*(t.denominator for t in self.theta))
-        return den, tuple(t.numerator * (den // t.denominator) for t in self.theta)
+        return clear(self.theta)
 
     def _dot_numerator(self, alpha: Sequence[int]) -> int:
         """theta . alpha times the positive denominator of ``_cleared``."""
@@ -90,13 +88,6 @@ class Wall:
     at_bound: bool
 
 
-def _primitive(alpha: Sequence[int]) -> DimVector:
-    g = 0
-    for a in alpha:
-        g = gcd(g, abs(int(a)))
-    return tuple(int(a) // g for a in alpha)
-
-
 def enumerate_walls(
     q: ExtQuiver, n: Sequence[int], budget: int = DEFAULT_ROOT_BUDGET
 ) -> tuple[Wall, ...]:
@@ -109,17 +100,14 @@ def enumerate_walls(
     """
     n = tuple(int(x) for x in n)
     roots = enumerate_positive_roots(q, n, budget=budget)
+    # A root cuts nothing on the character space exactly when it is a
+    # positive multiple of n.
+    n_prim = primitive(n)
     walls: dict[DimVector, Wall] = {}
     for alpha in roots:
-        prim = _primitive(alpha)
+        prim = primitive(alpha)
         at_bound = any(a == b for a, b in zip(alpha, n) if b > 0)
-        # alpha cuts nothing on the character space exactly when it is
-        # proportional to n.
-        degenerate = all(
-            prim[i] * n[j] == prim[j] * n[i]
-            for i in range(len(n))
-            for j in range(i + 1, len(n))
-        ) and any(prim)
+        degenerate = prim == n_prim
         prev = walls.get(prim)
         if prev is None:
             walls[prim] = Wall(prim, degenerate, at_bound)
@@ -169,10 +157,7 @@ def _degree_numerators(
     """
     if z0_of_total.is_zero():
         raise DegenerateValueError("reference value Z0(v) must be nonzero")
-    re, im = z0_of_total.re, z0_of_total.im
-    e = lcm(re.denominator, im.denominator)
-    p = re.numerator * (e // re.denominator)
-    q = im.numerator * (e // im.denominator)
+    e, (p, q) = clear((z0_of_total.re, z0_of_total.im))
     nums = []
     for v in decomp.classes:
         x, y = z._numerators(v)
@@ -248,11 +233,6 @@ def to_character(
     nums, den = _degree_numerators(z, z0_of_total, decomp)
     _require_on_slice(nums, decomp)
     return CharacterPoint(tuple(Fraction(n, den) for n in nums), decomp.multiplicities)
-
-
-def wall_class(decomp: PolystableDecomposition, alpha: Sequence[int]) -> LatticeVector:
-    """The lattice class sum(alpha_i * v_i) attached to a root."""
-    return decomp.combination(alpha)
 
 
 def wall_correspondence_holds(

@@ -32,7 +32,7 @@ from quivermoduli import (
     representation,
 )
 from quivermoduli.errors import BudgetExceededError
-from quivermoduli.linalg import RowSpace, _cleared
+from quivermoduli.linalg import RowSpace, clear
 from quivermoduli.representation import (
     _all_seeds,
     _BudgetMeter,
@@ -329,7 +329,7 @@ def fraction_prng_seeds(n, limits):
         for vertex, m in enumerate(n):
             vec = tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m))
             if any(vec):
-                seeds.append((vertex, _cleared(vec)))
+                seeds.append((vertex, clear(vec)[1]))
         if seeds:
             yield "prng", seeds
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -208,6 +209,18 @@ class TestFindIsotropic:
     def test_indefinite_diagonal(self):
         v = find_isotropic(GramLattice(((-2, 0), (0, 2))), 2)
         assert v.coords == (1, 1)
+
+    def test_zero_form_answers_its_first_cell(self):
+        # Every cell is isotropic, so nothing past the first is looked at.
+        for rank in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                v = find_isotropic(GramLattice(((0,) * rank,) * rank), 499)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert v.coords == (1,) * rank
+            assert peak < 1_000_000
 
     def test_bound_validation(self, hyperbolic):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genutil import add, identity, inverse, matmul, matvec, sub, transpose
 from quivermoduli import linalg
@@ -43,6 +46,26 @@ class TestBasicOps:
     def test_ragged_rejected(self):
         with pytest.raises(ShapeMismatchError):
             linalg.matrix(((1, 2), (3,)))
+
+
+@given(st.lists(st.fractions(max_denominator=30) | st.integers(-50, 50), max_size=6))
+def test_clear_matches_fraction_reference(entries):
+    den, nums = linalg.clear(entries)
+    assert den > 0 and gcd(den, *nums) == 1
+    assert tuple(Q(x, den) for x in nums) == tuple(Q(x) for x in entries)
+
+
+@given(st.lists(st.integers(-60, 60), max_size=6))
+def test_primitive_matches_fraction_reference(v):
+    prim = linalg.primitive(v)
+    if not any(v):
+        assert prim == tuple(v)
+        return
+    assert gcd(*prim) == 1
+    # A positive multiple: every entry scaled by one positive rational.
+    ratios = {Q(a, b) for a, b in zip(v, prim) if b}
+    assert len(ratios) == 1 and ratios.pop() > 0
+    assert all(a == 0 for a, b in zip(v, prim) if b == 0)
 
 
 class TestRowSpace:

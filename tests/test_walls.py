@@ -25,7 +25,7 @@ from quivermoduli import (
 from quivermoduli.errors import DegenerateValueError, LatticeMismatchError
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stability import I
-from quivermoduli.walls import Wall, degree_of_class, wall_class
+from quivermoduli.walls import Wall, degree_of_class
 
 from genutil import (
     add_stability,
@@ -300,8 +300,8 @@ class TestWallCorrespondence:
         assert len(evaluations) == 1
 
     def test_wall_class_combination(self):
-        assert wall_class(DEC, (1, 1)).coords == (1, 1)
-        assert wall_class(DEC, (2, 0)).coords == (2, 0)
+        assert DEC.combination((1, 1)).coords == (1, 1)
+        assert DEC.combination((2, 0)).coords == (2, 0)
 
     def test_enumerated_walls_round_trip(self):
         # Three independent summands; construct on-slice samples lying

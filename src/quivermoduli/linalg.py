@@ -42,10 +42,6 @@ def trace(a: Mat) -> Fraction:
     return sum((a[i][i] for i in range(n)), Fraction(0))
 
 
-def is_zero_matrix(a: Mat) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def clear(entries: Sequence) -> tuple[int, tuple[int, ...]]:
     """(D, nums): the rational entries (ints or ``Fraction``s) as
     nums / D over their least positive common denominator D.  The one

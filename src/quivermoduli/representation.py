@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
-from operator import mul, sub
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -120,6 +120,21 @@ def _int_matmul(a: IntMat, b: IntMat) -> IntMat:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
+def _block_sums(rep: DoubleQuiverRep) -> Iterator[tuple[int, list[list[int]]]]:
+    """Per vertex, the moment map block as a denominator and its integer
+    numerators, summed on the cleared maps over one common denominator."""
+    terms: list[list[tuple[int, IntMat, int]]] = [[] for _ in rep.n]
+    for arrow, ((xi, dx), (yi, dy)) in zip(rep.arrows, rep._integral_maps):
+        if rep.n[arrow.source] == 0 or rep.n[arrow.target] == 0:
+            continue  # both products vanish identically
+        terms[arrow.target].append((1, _int_matmul(xi, yi), dx * dy))
+        terms[arrow.source].append((-1, _int_matmul(yi, xi), dx * dy))
+    for m, vertex_terms in zip(rep.n, terms):
+        den = lcm(*(d for _, _, d in vertex_terms))
+        scaled = [(sign * (den // d), p) for sign, p, d in vertex_terms]
+        yield den, [[sum([k * p[r][c] for k, p in scaled]) for c in range(m)] for r in range(m)]
+
+
 def moment_map(rep: DoubleQuiverRep) -> BlockEndomorphism:
     """Blockwise value of sum of commutators [x_e, y_e].
 
@@ -127,27 +142,14 @@ def moment_map(rep: DoubleQuiverRep) -> BlockEndomorphism:
     minus y_e x_e over arrows starting at i; for a loop this is the
     literal commutator.  The blockwise traces always sum to zero.
     """
-    # Each block is summed on the cleared maps over one common
-    # denominator.
-    terms: list[list[tuple[int, IntMat, int]]] = [[] for _ in rep.n]
-    for arrow, ((xi, dx), (yi, dy)) in zip(rep.arrows, rep._integral_maps):
-        if rep.n[arrow.source] == 0 or rep.n[arrow.target] == 0:
-            continue  # both products vanish identically
-        terms[arrow.target].append((1, _int_matmul(xi, yi), dx * dy))
-        terms[arrow.source].append((-1, _int_matmul(yi, xi), dx * dy))
-    blocks = []
-    for m, vertex_terms in zip(rep.n, terms):
-        den = lcm(*(d for _, _, d in vertex_terms))
-        scaled = [(sign * (den // d), p) for sign, p, d in vertex_terms]
-        blocks.append(tuple(
-            tuple(Fraction(sum(k * p[r][c] for k, p in scaled), den) for c in range(m))
-            for r in range(m)
-        ))
-    return tuple(blocks)
+    return tuple(
+        tuple(tuple([Fraction(a, den) for a in row]) for row in block)
+        for den, block in _block_sums(rep)
+    )
 
 
 def in_zero_fiber(rep: DoubleQuiverRep) -> bool:
-    return all(linalg.is_zero_matrix(b) for b in moment_map(rep))
+    return not any(a for _, block in _block_sums(rep) for row in block for a in row)
 
 
 def theta_slope(theta: Sequence, m: Sequence[int]) -> Fraction:
@@ -242,8 +244,9 @@ class SearchLimits:
     guarantee that a search terminates.  A closure grown from a
     subrepresentation B is charged what a worklist applying every map
     to each new vector spends: T = sum over vertices v of (dimension
-    gained at v) times (number of maps leaving v).  When T exceeds what
-    remains, the closure raises ``BudgetExceededError`` (which
+    gained at v) times (number of maps leaving v), unchanged by the
+    bitmask sums of ``_SeedClosures``.  When T exceeds what remains, the
+    closure raises ``BudgetExceededError`` (which
     ``jordan_holder_search`` reports as incomplete) after at most the
     per-vector closures of its own seed set.  The seed categories:
     single standard basis vectors, coordinate subspace combinations,
@@ -293,6 +296,7 @@ class _BudgetMeter:
 IntVec = Sequence[int]
 OutMaps = list[list[tuple[IntMat, int]]]
 SeedSet = tuple[str, list[tuple[int, IntVec]]]  # (category, seeds as (vertex, vector))
+MaskSet = tuple[str, int]  # (category, mask of the seeds' closures)
 
 
 def _out_maps(rep: DoubleQuiverRep) -> OutMaps:
@@ -306,29 +310,41 @@ def _out_maps(rep: DoubleQuiverRep) -> OutMaps:
     return out
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 class _SeedClosures:
-    """The closures of one search, built as sums of per-vector closures.
+    """The closures of one search, as sums of interned per-vector closures.
 
-    The subrepresentation generated by a subrepresentation B and seed
-    vectors s_1..s_k is B + cl(s_1) + ... + cl(s_k), since a sum of
-    subrepresentations is one.  So the maps are iterated once per
-    distinct ``(vertex, vector)`` seed, and every seed set of the search
-    only adds the cached echelon rows.  ``RowSpace``'s reduced echelon
-    form is unique, so the spaces do not depend on how they were built.
-
-    Each sum is charged after it is built, what the worklist of the
-    closure from B would spend: one unit per map leaving each vector
-    that grew a space (see ``SearchLimits``).  Nothing is charged when
-    nothing grew.
+    The subrepresentation generated by seed vectors s_1..s_k is
+    cl(s_1) + ... + cl(s_k), since a sum of subrepresentations is one.
+    The maps are iterated once per distinct ``(vertex, vector)`` seed,
+    and each distinct closure gets one bit: equal closures share it,
+    keyed by their primitive echelon rows, which are unique for a
+    subspace.  A seed set is the OR of its seeds' bits, taken in seed
+    order up to the first seed after which the sum fills the
+    representation.  Each distinct mask's sum is built once, with its
+    weight w = sum over vertices v of dim_v times the maps leaving v.
+    The sum over a base mask B is charged w(B | mask) - w(B) each time
+    it is asked for: what the worklist of the closure from B would spend
+    (see ``SearchLimits``).
     """
 
     def __init__(self, rep: DoubleQuiverRep, meter: _BudgetMeter):
         self.out_maps = _out_maps(rep)
         self.out_degree = [len(maps) for maps in self.out_maps]
-        self.n = rep.n
-        self.zero = tuple(RowSpace(m) for m in rep.n)
+        self.n = list(rep.n)
         self.meter = meter
-        self.memo: dict[tuple[int, IntVec], tuple[tuple[int, RowSpace, int], ...]] = {}
+        self.bit_of: dict[tuple[int, IntVec], int] = {}
+        self.interned: dict[tuple, int] = {(): 0}  # the zero closure adds no bit
+        self.parts: list[tuple[tuple[int, RowSpace, int], ...]] = []
+        # mask -> (spaces, dims, weight) of its sum
+        self.sums = {0: ([RowSpace(m) for m in rep.n], [0] * len(rep.n), 0)}
 
     def _of(self, vertex: int, vec: IntVec) -> tuple[tuple[int, RowSpace, int], ...]:
         """The nonzero spaces of cl(vec at vertex) as (vertex, space,
@@ -346,48 +362,78 @@ class _SeedClosures:
                     worklist.append((target, image))
         return tuple((i, space, space.dim) for i, space in enumerate(spaces) if space.dim)
 
-    def generated(
-        self,
-        seeds: Sequence[tuple[int, IntVec]],
-        base: Optional[Sequence[RowSpace]] = None,
-    ) -> tuple[list[RowSpace], list[int]]:
-        """Smallest subrepresentation containing ``base`` (zero when
-        omitted) and the integer seed vectors, with its dimension vector.
+    def _bit(self, seed: tuple[int, IntVec]) -> int:
+        bit = self.bit_of.get(seed)
+        if bit is None:
+            parts = self._of(*seed)
+            key = tuple((i, tuple(map(tuple, space._rows))) for i, space, _ in parts)
+            bit = self.interned.get(key)
+            if bit is None:
+                bit = self.interned[key] = 1 << len(self.parts)
+                self.parts.append(parts)
+            self.bit_of[seed] = bit
+        return bit
 
-        The spaces may be shared with ``base`` and the memo: a space is
-        copied before it is grown, and none is changed once returned.
-        """
-        spaces = list(self.zero if base is None else base)
-        dims = [space.dim for space in spaces]
-        start = dims[:]
-        owned = [False] * len(spaces)
-        n, memo = self.n, self.memo
-        for seed in seeds:
-            parts = memo.get(seed)
-            if parts is None:
-                parts = memo[seed] = self._of(*seed)
-            for i, part, dim in parts:
-                if dims[i] == n[i]:
-                    continue
-                if dims[i] == 0 or dim == n[i]:
-                    spaces[i], dims[i], owned[i] = part, dim, False
-                    continue
-                if not owned[i]:
-                    spaces[i], owned[i] = spaces[i].copy(), True
-                space = spaces[i]
-                for row in part._rows:
-                    space._absorb(row)
-                dims[i] = space.dim
-        cost = sum(map(mul, map(sub, dims, start), self.out_degree))
+    def _sum(self, mask: int, bits: Iterable[int]) -> int:
+        """``mask`` ORed with single ``bits`` in turn until its sum fills;
+        later bits (and the closures behind them) are never asked for.
+        Only the final sum is memoised, but memoised ones met on the way
+        are adopted.  Spaces are shared and copied before they grow."""
+        spaces, dims, _ = self.sums[mask]
+        owned: Optional[list[bool]] = None  # None while the lists are memoised ones
+        n = self.n
+        for bit in bits:
+            if mask | bit == mask:
+                continue
+            mask |= bit
+            entry = self.sums.get(mask)
+            if entry is not None:
+                spaces, dims, _ = entry
+                owned = None
+            else:
+                if owned is None:
+                    spaces, dims, owned = spaces[:], dims[:], [False] * len(spaces)
+                for i, part, dim in self.parts[bit.bit_length() - 1]:
+                    if dims[i] == n[i]:
+                        continue
+                    if dims[i] == 0 or dim == n[i]:
+                        spaces[i], dims[i], owned[i] = part, dim, False
+                        continue
+                    if not owned[i]:
+                        spaces[i], owned[i] = spaces[i].copy(), True
+                    space = spaces[i]
+                    for row in part._rows:
+                        space._absorb(row)
+                    dims[i] = space.dim
+            if dims == n:
+                break
+        if mask not in self.sums:
+            self.sums[mask] = (spaces, dims, sum(map(mul, dims, self.out_degree)))
+        return mask
+
+    def masks(self, seed_sets: Iterator[SeedSet]) -> Iterator[MaskSet]:
+        """Each seed set as (category, mask)."""
+        for category, seeds in seed_sets:
+            yield category, self._sum(0, map(self._bit, seeds))
+
+    def generated(self, mask: int, base: int = 0) -> tuple[int, list[RowSpace], list[int]]:
+        """``base | mask`` with its sum and dimension vector (memoised
+        lists), charged over the base."""
+        joined = base | mask
+        if joined not in self.sums:  # the sum may fill before the last bit
+            self.sums[joined] = self.sums[self._sum(base, _bits(mask & ~base))]
+        spaces, dims, weight = self.sums[joined]
+        cost = weight - self.sums[base][2]
         if cost:
             self.meter.spend(cost)
-        return spaces, dims
+        return joined, spaces, dims
 
 
 def _witness_from_spaces(spaces: Sequence[RowSpace]) -> SubrepWitness:
     return SubrepWitness(tuple(space.basis() for space in spaces))
 
 
+@cache
 def _unit(m: int, k: int) -> tuple[int, ...]:
     return tuple(1 if c == k else 0 for c in range(m))
 
@@ -505,13 +551,13 @@ def _all_seeds(rep, limits) -> Iterator[SeedSet]:
     yield from _prng_seeds(rep, limits)
 
 
-def _replay(seed_sets: Iterator[SeedSet]) -> Callable[[], Iterator[SeedSet]]:
+def _replay(seed_sets: Iterator[MaskSet]) -> Callable[[], Iterator[MaskSet]]:
     """Passes over one draw of ``seed_sets``: each pass re-reads the
     seed sets drawn so far and draws more only when it runs past them,
     so no pass draws more than a fresh generator would."""
-    drawn: list[SeedSet] = []
+    drawn: list[MaskSet] = []
 
-    def replay() -> Iterator[SeedSet]:
+    def replay() -> Iterator[MaskSet]:
         k = 0
         while True:
             if k == len(drawn):
@@ -551,9 +597,9 @@ def destabilizer_search(
     meter = _BudgetMeter(limits.budget)
     closures = _SeedClosures(rep, meter)
     counts: dict[str, int] = {}
-    for category, seeds in _all_seeds(rep, limits):
+    for category, mask in closures.masks(_all_seeds(rep, limits)):
         counts[category] = counts.get(category, 0) + 1
-        spaces, m = closures.generated(seeds)
+        _, spaces, m = closures.generated(mask)
         if sum(m) == 0:
             continue
         if sum(map(mul, signs, m)) > 0:  # positive slope
@@ -597,32 +643,34 @@ def jordan_holder_search(
     _, signs = clear(theta)
     meter = _BudgetMeter(limits.budget)
     closures = _SeedClosures(rep, meter)
-    seed_sets = _replay(_all_seeds(rep, limits))
-    current = [RowSpace(m) for m in rep.n]
+    seed_sets = _replay(closures.masks(_all_seeds(rep, limits)))
+    current = cur_total = 0  # the current term as a mask, and its total dimension
     steps: list[SubrepWitness] = []
     dims: list[DimVector] = [tuple(0 for _ in rep.n)]
     try:
-        while sum(space.dim for space in current) < rep.total_dim:
-            cur_total = sum(space.dim for space in current)
-            best: Optional[list[RowSpace]] = None
+        while cur_total < rep.total_dim:
+            best: Optional[int] = None
             best_total = None
-            for _, seeds in seed_sets():
-                spaces, m = closures.generated(seeds, base=current)
+            for _, mask in seed_sets():
+                joined, _, m = closures.generated(mask, base=current)
                 total = sum(m)
                 if total <= cur_total:
                     continue
                 if sum(map(mul, signs, m)):
                     continue  # nonzero slope
                 if best is None or total < best_total:
-                    best, best_total = spaces, total
+                    best, best_total = joined, total
                     if best_total == cur_total + 1:
                         break
             if best is None:
                 return FiltrationResult(
                     False, reason="no slope-zero extension found among tried seeds"
                 )
-            current = best
-            witness = _witness_from_spaces(current)
+            current, cur_total = best, best_total
+            # No later step asks for a sum that misses the current term.
+            closures.sums = {
+                k: v for k, v in closures.sums.items() if k & current == current or not k}
+            witness = _witness_from_spaces(closures.sums[current][0])
             check = verify_subrep(rep, witness)
             if not check.valid:
                 raise InternalInvariantError("filtration step failed re-verification")

@@ -31,6 +31,10 @@ from .stability import GaussianRational, StabilityFunction
 # arrows, and ``rep moment-map`` prints them, so the cap bounds that
 # work where no budget reaches.
 MAX_REP_SQUARES = 1024
+# Largest ``budgets.prng_samples``.  A seed set whose closures apply no
+# map is charged nothing, so the search budget cannot bound the PRNG
+# seed sets; the cap is the default number of subset seed sets.
+MAX_PRNG_SAMPLES = SearchLimits.max_subset_seeds
 
 DEFAULT_BUDGETS = {
     "root_budget": DEFAULT_ROOT_BUDGET,
@@ -323,6 +327,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             violations.append((f"$.budgets.{key}", "unknown budget key"))
             continue
         budgets[key] = _parse_int(value, f"$.budgets.{key}", violations)
+        if key == "prng_samples" and budgets[key] > MAX_PRNG_SAMPLES:
+            violations.append((f"$.budgets.{key}", f"exceeds {MAX_PRNG_SAMPLES}"))
 
     scenario = Scenario(
         lattice=lattice,

@@ -6,9 +6,9 @@ rationals, so it is checked against a plain ``Fraction`` Gauss-Jordan
 reference.  The searches' answers (witnesses, slopes, certificates,
 filtration steps and the points where a budget runs out) are pinned to
 a digest recorded from the ``Fraction`` closure.  The searches build
-each closure as a sum of memoised per-vector closures; that sum is
-checked against the iterated closure ``genutil.reference_closure`` in
-spaces and in budget charged.
+each closure as a sum of interned per-vector closures, one bit each,
+memoised per seed-set mask; that sum is checked against the iterated
+closure ``genutil.reference_closure`` in spaces and in budget charged.
 """
 
 from __future__ import annotations
@@ -223,32 +223,45 @@ def closure_cases(draw):
     return rep, base_seeds, seeds
 
 
+def mask_of(closures, seeds):
+    """The mask ``closures`` gives one seed set."""
+    [(_, mask)] = closures.masks([("seeds", seeds)])
+    return mask
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=closure_cases(), slack=st.integers(-2, 2))
 def test_sum_of_closures_matches_reference(case, slack):
     rep, base_seeds, seeds = case
     out_maps = _out_maps(rep)
     closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
-    closures.generated(seeds[::-1])  # later sums start from a warm memo
-    base = None
+    mask_of(closures, seeds[::-1])  # later sums start from a warm memo
+    base, base_spaces = 0, None
     if base_seeds is not None:
-        base, _ = closures.generated(base_seeds)
-        base_bases = [space.basis() for space in base]
+        base = mask_of(closures, base_seeds)
+        base_spaces = closures.sums[base][0]
+        base_bases = [space.basis() for space in base_spaces]
     expected_meter = _BudgetMeter(UNMETERED)
-    expected = reference_closure(out_maps, rep.n, seeds, expected_meter, base)
+    expected = reference_closure(out_maps, rep.n, seeds, expected_meter, base_spaces)
     before = closures.meter.used
     given_seeds = list(seeds)
-    spaces, dims = closures.generated(seeds, base)
+    _, spaces, dims = closures.generated(mask_of(closures, seeds), base)
     assert seeds == given_seeds
     assert [space.basis() for space in spaces] == [space.basis() for space in expected]
     assert dims == [space.dim for space in expected]
     assert closures.meter.used - before == expected_meter.used
-    if base is not None:
-        assert [space.basis() for space in base] == base_bases
+    if base_spaces is not None:
+        assert [space.basis() for space in base_spaces] == base_bases
+
+    def build(meter):
+        fresh = _SeedClosures(rep, meter)
+        fresh_base = 0 if base_seeds is None else mask_of(fresh, base_seeds)
+        fresh.generated(mask_of(fresh, seeds), fresh_base)
+
     # A budget near the charge runs out in both or in neither.
     budget = expected_meter.used + slack
-    assert charge(lambda m: _SeedClosures(rep, m).generated(seeds, base), budget) == charge(
-        lambda m: reference_closure(out_maps, rep.n, seeds, m, base), budget)
+    assert charge(build, budget) == charge(
+        lambda m: reference_closure(out_maps, rep.n, seeds, m, base_spaces), budget)
 
 
 def test_budget_of_exactly_the_charge_completes(monkeypatch):
@@ -301,14 +314,103 @@ def test_space_filled_from_memo_reports_its_own_basis():
     basis; the base it grew from keeps its own."""
     rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ((0, 1, 2),)), (1, 1))
     closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
-    closures.generated([(1, (1,))])
-    first, _ = closures.generated([(0, (1,))])
+    right = mask_of(closures, [(1, (1,))])
+    left, first, _ = closures.generated(mask_of(closures, [(0, (1,))]))
     assert [space.basis() for space in first] == [((Q(1),),), ()]
-    second, dims = closures.generated([(1, (1,))], base=first)
+    _, second, dims = closures.generated(right, base=left)
     assert dims == [1, 1]
     assert [space.basis() for space in second] == [((Q(1),),), ((Q(1),),)]
     assert [space.basis() for space in first] == [((Q(1),),), ()]
     assert jordan_holder_search(rep, (0, 0)).graded_dims == ((1, 0), (0, 1))
+
+
+def count_of_calls(monkeypatch):
+    """The (vertex, vector) arguments of every per-vector closure built."""
+    calls = []
+    of = _SeedClosures._of
+
+    def counted(self, vertex, vec):
+        calls.append((vertex, vec))
+        return of(self, vertex, vec)
+
+    monkeypatch.setattr(_SeedClosures, "_of", counted)
+    return calls
+
+
+def test_each_closure_is_built_once_per_search(monkeypatch):
+    """Neither search iterates the maps twice from one seed, although
+    the filtration passes over its seed sets once per step."""
+    calls = count_of_calls(monkeypatch)
+    rng = random.Random(14)
+    steps = 0
+    for k in range(20):
+        rep = random_rep(rng, max_total_dim=5, grid_entries=True)
+        theta = (k % 2 and orthogonal_character(rng, rep.n)) or (Q(0),) * len(rep.n)
+        limits = SearchLimits(prng_samples=3)
+        distinct = {seed for _, seeds in _all_seeds(rep, limits) for seed in seeds}
+        for search in (destabilizer_search, jordan_holder_search):
+            del calls[:]
+            got = search(rep, theta, limits)
+            assert len(calls) == len(set(calls)) and set(calls) <= distinct
+        steps += len(got.steps)
+    assert steps > 20  # some filtrations take several steps
+
+
+def test_seed_set_stops_at_the_first_seed_that_fills(monkeypatch):
+    """A seed set whose first seed generates the whole representation
+    is that seed's bit alone, and the later seeds are never closed."""
+    calls = count_of_calls(monkeypatch)
+    quiver = ExtQuiver((0, 0), ((0, 1, 1),))
+    rep = DoubleQuiverRep(quiver, (1, 1), (((1,),),), (((1,),),))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
+    mask = mask_of(closures, [(0, (1,)), (1, (1,)), (0, (2,))])
+    assert calls == [(0, (1,))]
+    assert mask == closures.bit_of[(0, (1,))]
+    assert closures.sums[mask][1] == [1, 1]
+
+
+def test_filtration_steps_after_the_first_close_no_seed(monkeypatch):
+    """With a first step that reads every seed set, the later steps
+    replay masks: they look up no seed and build no per-vector closure."""
+    calls = count_of_calls(monkeypatch)
+    lookups = []
+    bit = _SeedClosures._bit
+    monkeypatch.setattr(
+        _SeedClosures, "_bit", lambda self, seed: lookups.append(seed) or bit(self, seed))
+    per_step = []
+    verify = representation.verify_subrep
+
+    def counted(rep, witness):
+        per_step.append((len(calls), len(lookups)))
+        return verify(rep, witness)
+
+    monkeypatch.setattr(representation, "verify_subrep", counted)
+    # No arrows: every slope-zero extension pairs a vertex of weight 1
+    # with one of weight -1, so no step stops before its last seed set.
+    rep = DoubleQuiverRep.zero(ExtQuiver((0, 0, 0, 0), ()), (1, 1, 1, 1))
+    got = jordan_holder_search(rep, (1, -1, 1, -1))
+    assert got.complete and got.graded_dims == ((1, 1, 0, 0), (0, 0, 1, 1))
+    assert len(per_step) == 2 and per_step[0] == per_step[1] == (len(calls), len(lookups))
+    assert len(calls) > 0
+
+
+def test_one_closure_reached_from_different_seeds_is_one_bit(monkeypatch):
+    """Two seeds with the same closure share its bit, so the seed sets
+    holding them, in either order, are one mask with one sum."""
+    calls = count_of_calls(monkeypatch)
+    # Vertices 0 and 1 are swapped by inverse maps; vertex 2 hangs off
+    # vertex 1 by zero maps, so the shared closure is proper.
+    quiver = ExtQuiver((0, 0, 0), ((0, 1, 1), (1, 2, 1)))
+    rep = DoubleQuiverRep(quiver, (1, 1, 1), (((1,),), ((0,),)), (((1,),), ((0,),)))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
+    masks = [mask for _, mask in closures.masks([
+        ("basis", [(0, (1,))]), ("basis", [(1, (1,))]),
+        ("subset", [(0, (1,)), (1, (1,))]), ("subset", [(1, (1,)), (0, (1,))]),
+    ])]
+    assert calls == [(0, (1,)), (1, (1,))]
+    assert len(closures.parts) == 1 and set(masks) == {1}
+    assert sorted(closures.sums) == [0, 1]
+    assert closures.sums[1][1] == [1, 1, 0]
 
 
 def test_negative_budget_with_nothing_to_charge():

@@ -43,7 +43,7 @@ class TestMomentMap:
 
     def test_zero_rep(self):
         rep = DoubleQuiverRep.zero(AFFINE_A1, (2, 1))
-        assert all(linalg.is_zero_matrix(b) for b in moment_map(rep))
+        assert all(x == 0 for b in moment_map(rep) for row in b for x in row)
 
     def test_one_by_one_blocks(self):
         a, b, c, d = Q(2), Q(3), Q(5), Q(7)
@@ -137,6 +137,23 @@ class TestZeroFiber:
                 tuple(linalg.zeros(*linalg.shape(y)) for y in rep.y_maps),
             )
             assert in_zero_fiber(silenced)
+
+    def test_decided_on_integers_as_the_moment_map(self, monkeypatch):
+        rng = random.Random(48)
+        reps = []
+        for k in range(30):
+            rep = random_rep(rng, max_total_dim=5, max_denominator=3)
+            if k % 2:  # a zero fiber point
+                rep = DoubleQuiverRep(
+                    rep.quiver, rep.n, rep.x_maps,
+                    tuple(linalg.zeros(*linalg.shape(y)) for y in rep.y_maps),
+                )
+            reps.append(rep)
+        expected = [all(x == 0 for b in moment_map(rep) for row in b for x in row)
+                    for rep in reps]
+        assert 0 < sum(expected) < len(reps)
+        monkeypatch.setattr(representation, "Fraction", None)  # no rational block
+        assert [in_zero_fiber(rep) for rep in reps] == expected
 
 
 class TestThetaSlope:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from quivermoduli import cli
 from quivermoduli.cli import COMMANDS, Overrides, main, run_command
 from quivermoduli.errors import BudgetExceededError, ScenarioError, UnknownCommandError
-from quivermoduli.scenario import MAX_REP_SQUARES, load_scenario
+from quivermoduli.scenario import MAX_PRNG_SAMPLES, MAX_REP_SQUARES, load_scenario
 
 
 def base_doc():
@@ -196,6 +196,26 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc)
         assert [path for path, _ in err.value.violations] == ["$.representations.R.n"]
+
+    def test_prng_samples_are_capped(self):
+        # One vertex and no arrows: no closure applies a map, so the
+        # search budget of 1 would stop none of the PRNG seed sets.
+        doc = {"lattice": {"gram": [[2]]}, "quiver": {"loops": [0], "arrows": []},
+               "representations": {"R": {"n": [1]}}, "characters": {"theta": ["0"]},
+               "budgets": {"search_budget": 1, "prng_samples": 200_000}}
+        started = time.perf_counter()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["--scenario", json.dumps(doc), "rep", "destabilize", "R", "theta"])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "schema"
+        assert "$.budgets.prng_samples" in json.dumps(error)
+        doc["budgets"]["prng_samples"] = MAX_PRNG_SAMPLES
+        assert load_scenario(doc).budgets["prng_samples"] == MAX_PRNG_SAMPLES
 
     def test_budget_keys_validated(self):
         doc = base_doc()

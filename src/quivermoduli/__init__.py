@@ -53,7 +53,6 @@ from .representation import (
     in_zero_fiber,
     jordan_holder_search,
     moment_map,
-    theta_slope,
     verify_subrep,
 )
 from .scenario import Scenario, load_scenario

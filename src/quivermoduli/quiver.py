@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Optional
 from .decomposition import PolystableDecomposition
 from .errors import (
     BudgetExceededError,
+    DegenerateValueError,
     HomNonvanishingError,
     InternalInvariantError,
     LatticeMismatchError,
@@ -228,7 +229,7 @@ def is_positive_root(q: ExtQuiver, alpha: Iterable[int], n: Iterable[int]) -> bo
     alpha = _check_length(q, alpha)
     n = _check_length(q, n)
     if all(a == 0 for a in alpha):
-        raise ValueError("the zero vector is not a root candidate")
+        raise DegenerateValueError("the zero vector is not a root candidate")
     if any(a < 0 or a > b for a, b in zip(alpha, n)):
         return False
     connected, _ = _support(q, sum(1 << i for i, a in enumerate(alpha) if a))
@@ -284,7 +285,7 @@ def simple_rep_exists(
     best-splitting table over the box below n."""
     n = _check_length(q, n)
     if all(x == 0 for x in n):
-        raise ValueError("the zero dimension vector has no representations")
+        raise DegenerateValueError("the zero dimension vector has no representations")
     if not is_positive_root(q, n, n):
         return SimpleRepVerdict(False, reason="not a positive root")
     roots = _roots_with_forms(q, n, budget)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -27,13 +27,14 @@ from .errors import (
     BudgetExceededError,
     DegenerateValueError,
     InternalInvariantError,
-    LatticeMismatchError,
     ShapeMismatchError,
 )
 from .linalg import Mat, RowSpace, Vec, clear, primitive
 from .quiver import Arrow, DimVector, ExtQuiver, _check_length
+from .walls import CharacterPoint
 
 DEFAULT_SEARCH_BUDGET = 100_000
+_ZERO_REP = "the zero representation has no subrepresentations to search"
 
 
 @dataclass(frozen=True)
@@ -53,16 +54,18 @@ class DoubleQuiverRep:
     def __post_init__(self):
         n = _check_length(self.quiver, self.n)
         object.__setattr__(self, "n", n)
-        arrows = self.quiver.arrow_list()
         x_maps = tuple(linalg.matrix(m) for m in self.x_maps)
         y_maps = tuple(linalg.matrix(m) for m in self.y_maps)
         object.__setattr__(self, "x_maps", x_maps)
         object.__setattr__(self, "y_maps", y_maps)
-        if len(x_maps) != len(arrows) or len(y_maps) != len(arrows):
+        # Counted before the arrow list is built: a loop count can be far
+        # larger than any list of maps.
+        count = sum(self.quiver.loops) + sum(m for _, _, m in self.quiver.arrows)
+        if len(x_maps) != count or len(y_maps) != count:
             raise ShapeMismatchError(
-                f"{len(arrows)} arrows but {len(x_maps)} x-maps / {len(y_maps)} y-maps"
+                f"{count} arrows but {len(x_maps)} x-maps / {len(y_maps)} y-maps"
             )
-        for arrow, x, y in zip(arrows, x_maps, y_maps):
+        for arrow, x, y in zip(self.quiver.arrow_list(), x_maps, y_maps):
             for name, m, want in (
                 ("x", x, (n[arrow.target], n[arrow.source])),
                 ("y", y, (n[arrow.source], n[arrow.target])),
@@ -150,20 +153,6 @@ def moment_map(rep: DoubleQuiverRep) -> BlockEndomorphism:
 
 def in_zero_fiber(rep: DoubleQuiverRep) -> bool:
     return not any(a for _, block in _block_sums(rep) for row in block for a in row)
-
-
-def theta_slope(theta: Sequence, m: Sequence[int]) -> Fraction:
-    """(theta . m) / sum(m); undefined on the zero dimension vector."""
-    m = tuple(int(x) for x in m)
-    total = sum(m)
-    if total == 0:
-        raise ZeroDivisionError("slope of the zero dimension vector")
-    theta = tuple(Fraction(t) for t in theta)
-    if len(theta) != len(m):
-        raise LatticeMismatchError(
-            f"character of length {len(theta)} against dimension vector of length {len(m)}"
-        )
-    return sum((t * x for t, x in zip(theta, m)), Fraction(0)) / total
 
 
 @dataclass(frozen=True)
@@ -529,17 +518,9 @@ def _prng_seeds(
     for _ in range(limits.prng_samples):
         seeds = []
         for vertex, m in enumerate(rep.n):
-            # Each entry num/den in lowest terms, the vector cleared by
-            # the lcm of the denominators.
-            nums, dens = [], []
-            for _ in range(m):
-                num, den = rng.randint(-3, 3), rng.randint(1, 3)
-                g = gcd(num, den)
-                nums.append(num // g)
-                dens.append(den // g)
-            if any(nums):
-                den = lcm(*dens)
-                seeds.append((vertex, tuple(a * (den // d) for a, d in zip(nums, dens))))
+            _, vec = clear([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)])
+            if any(vec):
+                seeds.append((vertex, vec))
         if seeds:
             yield "prng", seeds
 
@@ -571,16 +552,6 @@ def _replay(seed_sets: Iterator[MaskSet]) -> Callable[[], Iterator[MaskSet]]:
     return replay
 
 
-def _vanishing_character(rep: DoubleQuiverRep, theta: Sequence) -> tuple[Fraction, ...]:
-    """theta as rationals, checked to vanish on the dimension vector."""
-    if rep.total_dim == 0:
-        raise DegenerateValueError("the zero representation has no subrepresentations to search")
-    theta = tuple(Fraction(t) for t in theta)
-    if theta_slope(theta, rep.n) != 0:
-        raise LatticeMismatchError("character must vanish on the dimension vector")
-    return theta
-
-
 def destabilizer_search(
     rep: DoubleQuiverRep,
     theta: Sequence,
@@ -590,10 +561,15 @@ def destabilizer_search(
 
     Every returned witness is re-verified (closure plus slope) before
     it is handed back.  A ``found=False`` result certifies only that no
-    closure of any tried seed has positive slope.
+    closure of any tried seed has positive slope.  The zero
+    representation raises ``DegenerateValueError``; a theta of the wrong
+    length, or one that does not vanish on the dimension vector, raises
+    ``LatticeMismatchError`` from ``CharacterPoint``.
     """
-    theta = _vanishing_character(rep, theta)
-    _, signs = clear(theta)
+    if rep.total_dim == 0:
+        raise DegenerateValueError(_ZERO_REP)
+    point = CharacterPoint(theta, rep.n)
+    signs = point._cleared[1]
     meter = _BudgetMeter(limits.budget)
     closures = _SeedClosures(rep, meter)
     counts: dict[str, int] = {}
@@ -605,11 +581,9 @@ def destabilizer_search(
         if sum(map(mul, signs, m)) > 0:  # positive slope
             witness = _witness_from_spaces(spaces)
             check = verify_subrep(rep, witness)
-            if not (check.valid and theta_slope(theta, check.dims) > 0):
+            if not (check.valid and point._dot_numerator(check.dims) > 0):
                 raise InternalInvariantError("destabilizing witness failed re-verification")
-            return DestabilizerResult(
-                True, witness=witness, slope=theta_slope(theta, m)
-            )
+            return DestabilizerResult(True, witness=witness, slope=point.slope(m))
     return DestabilizerResult(
         False,
         certificate=SearchCertificate(
@@ -635,12 +609,14 @@ def jordan_holder_search(
 
     Repeatedly grows the current term by the smallest slope-zero
     closure found among all seeds.  When the budget dies first, returns
-    an honest Incomplete instead of a partial claim.
+    an honest Incomplete instead of a partial claim.  The zero
+    representation and theta raise as in ``destabilizer_search``.
     """
-    theta = _vanishing_character(rep, theta)
+    if rep.total_dim == 0:
+        raise DegenerateValueError(_ZERO_REP)
+    signs = CharacterPoint(theta, rep.n)._cleared[1]
     if limits.budget <= 0:
         return FiltrationResult(False, reason="zero search budget")
-    _, signs = clear(theta)
     meter = _BudgetMeter(limits.budget)
     closures = _SeedClosures(rep, meter)
     seed_sets = _replay(closures.masks(_all_seeds(rep, limits)))

@@ -247,7 +247,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                 violations.append((path, "expected {vector, multiplicity}"))
                 continue
             name = entry["vector"]
-            if name not in vectors:
+            if not isinstance(name, str) or name not in vectors:
                 violations.append((f"{path}.vector", f"unknown vector {name!r}"))
                 continue
             mult = _parse_int(entry.get("multiplicity", 1), f"{path}.multiplicity", violations)
@@ -292,7 +292,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             if not isinstance(step, dict) or "weight" not in step or "class" not in step:
                 violations.append((f"{path}[{k}]", "expected {weight, class}"))
                 continue
-            if step["class"] not in vectors:
+            if not isinstance(step["class"], str) or step["class"] not in vectors:
                 violations.append(
                     (f"{path}[{k}].class", f"unknown vector {step['class']!r}")
                 )

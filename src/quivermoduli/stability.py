@@ -240,10 +240,12 @@ def normalize(z: StabilityFunction, v: LatticeVector) -> StabilityFunction:
 
 
 def _check_normalized(z: StabilityFunction, total: LatticeVector) -> None:
-    value = z(total)
-    if value.re != 0 or value.im <= 0:
+    # Z(total) = (re + i*im) / D with D > 0, so it lies in i*Q>0 exactly
+    # when re == 0 and im > 0.
+    re, im = z._numerators(total)
+    if re != 0 or im <= 0:
         raise NormalizationError(
-            f"Z(total) = {value!r}; expected a positive multiple of i"
+            f"Z(total) = {z(total)!r}; expected a positive multiple of i"
         )
 
 

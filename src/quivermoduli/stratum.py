@@ -24,7 +24,6 @@ from .errors import (
     DegenerateValueError,
     InternalInvariantError,
     LatticeMismatchError,
-    NormalizationError,
 )
 from .lattice import (
     GramLattice,
@@ -41,7 +40,7 @@ from .quiver import (
     pairwise_merge_check,
     simple_rep_exists,
 )
-from .stability import StabilityFunction
+from .stability import StabilityFunction, _check_normalized
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,6 @@ def _effective_against(z0: StabilityFunction) -> EffectivityPredicate:
     return effective
 
 
-def positive_cone_member(hp: HyperbolicPair, u: LatticeVector) -> bool:
-    """Membership in the positive cone: integral u with u^2 >= 0 and
-    <u, v> > 0.  Useful for building custom effectivity predicates."""
-    return square(u) >= 0 and pairing(u, hp.v) > 0
-
-
 @dataclass(frozen=True)
 class TssWitness:
     criterion: str  # "isotropic-pairing-one" or "effective-spherical"
@@ -125,13 +118,7 @@ def detect_totally_semistable(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    # Z0(v) = (re + i*im) / D with D > 0, so it lies in i*Q>0 exactly
-    # when re == 0 and im > 0.
-    re, im = z0._numerators(hp.v)
-    if re != 0 or im <= 0:
-        raise NormalizationError(
-            f"reference value Z0(v) = {z0(hp.v)!r}; expected a positive multiple of i"
-        )
+    _check_normalized(z0, hp.v)
     if effectivity is None:
         effectivity = _effective_against(z0)
     (a, b), (_, d) = hp.lattice.gram

@@ -12,7 +12,8 @@ one positive denominator, so the slice test and the wall guard are
 zero tests on integers; only returned values become ``Fraction``s,
 identical to those of a per-coordinate ``Fraction`` evaluation.  A
 character point is cleared the same way once, so its annihilation
-check, its dot products and chamber signs are integer too.
+check, its dot products, chamber signs and King slopes are integer
+too.
 """
 
 from __future__ import annotations
@@ -72,6 +73,14 @@ class CharacterPoint:
 
     def dot(self, alpha: Sequence[int]) -> Fraction:
         return Fraction(self._dot_numerator(alpha), self._cleared[0])
+
+    def slope(self, m: Sequence[int]) -> Fraction:
+        """King's theta-slope (theta . m) / sum(m); undefined on the zero
+        dimension vector."""
+        total = sum(int(x) for x in m)
+        if total == 0:
+            raise ZeroDivisionError("slope of the zero dimension vector")
+        return Fraction(self._dot_numerator(m), self._cleared[0] * total)
 
 
 @dataclass(frozen=True)
@@ -195,18 +204,6 @@ def degree_vector(
     function, since its summand values all share the total's phase."""
     nums, den = _degree_numerators(z, z0_of_total, decomp)
     return tuple(Fraction(n, den) for n in nums)
-
-
-def degree_of_class(
-    z: StabilityFunction,
-    z0_of_total: GaussianRational,
-    decomp: PolystableDecomposition,
-    coeffs: Sequence[int],
-) -> Fraction:
-    """Degree of the combination sum(a_i v_i), extended linearly."""
-    coeffs = _coefficients(coeffs, decomp)
-    nums, den = _degree_numerators(z, z0_of_total, decomp)
-    return Fraction(_dot(coeffs, nums), den)
 
 
 def on_slice(

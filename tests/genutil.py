@@ -18,9 +18,12 @@ from quivermoduli import (
     PolystableDecomposition,
 )
 from quivermoduli.errors import QuiverModuliError, ShapeMismatchError
+from quivermoduli.lattice import LatticeVector, pairing, square
 from quivermoduli.linalg import Mat, RowSpace, shape
 from quivermoduli.representation import ArrowRef, SubrepCheck
 from quivermoduli.stability import GaussianRational, StabilityFunction
+from quivermoduli.stratum import HyperbolicPair
+from quivermoduli.walls import _coefficients, _degree_numerators, _dot
 
 # Even lattices with enough isotropic/spherical/positive classes to
 # make rejection sampling productive.
@@ -298,3 +301,21 @@ def reference_closure(out_maps, n, seeds, meter, base=None):
             if space._absorb(image):
                 worklist.append((target, image))
     return spaces
+
+
+def degree_of_class(
+    z: StabilityFunction,
+    z0_of_total: GaussianRational,
+    decomp: PolystableDecomposition,
+    coeffs,
+) -> Fraction:
+    """Degree of the combination sum(a_i v_i), extended linearly."""
+    coeffs = _coefficients(coeffs, decomp)
+    nums, den = _degree_numerators(z, z0_of_total, decomp)
+    return Fraction(_dot(coeffs, nums), den)
+
+
+def positive_cone_member(hp: HyperbolicPair, u: LatticeVector) -> bool:
+    """Membership in the positive cone: integral u with u^2 >= 0 and
+    <u, v> > 0.  Useful for building custom effectivity predicates."""
+    return square(u) >= 0 and pairing(u, hp.v) > 0

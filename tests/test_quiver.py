@@ -21,6 +21,7 @@ from quivermoduli import (
 )
 from quivermoduli.errors import (
     BudgetExceededError,
+    DegenerateValueError,
     HomNonvanishingError,
     MalformedSummandError,
 )
@@ -138,7 +139,7 @@ class TestPositiveRoots:
         assert not is_positive_root(q, (1, 1), (1, 1))
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateValueError):
             is_positive_root(AFFINE_A1, (0, 0), (1, 1))
 
     def test_enumerate_affine_a1(self):
@@ -178,7 +179,7 @@ class TestSimpleRepExists:
         assert not verdict.exists and verdict.reason == "not a positive root"
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateValueError):
             simple_rep_exists(AFFINE_A1, (0, 0))
 
     def test_box_deeper_than_the_recursion_limit(self):

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from quivermoduli import (
+    CharacterPoint,
     DoubleQuiverRep,
     ExtQuiver,
     SearchLimits,
@@ -14,7 +15,6 @@ from quivermoduli import (
     in_zero_fiber,
     jordan_holder_search,
     moment_map,
-    theta_slope,
     verify_subrep,
 )
 from quivermoduli import linalg, representation
@@ -157,18 +157,19 @@ class TestZeroFiber:
 
 
 class TestThetaSlope:
+    # King's theta-slope, owned by CharacterPoint.slope.
     def test_basic(self):
-        assert theta_slope((1, -1), (1, 0)) == 1
+        assert CharacterPoint((1, -1), (1, 1)).slope((1, 0)) == 1
 
     def test_vanishes_on_total(self):
-        assert theta_slope((2, -1), (1, 2)) == 0
+        assert CharacterPoint((2, -1), (1, 2)).slope((1, 2)) == 0
 
     def test_rational(self):
-        assert theta_slope((Q(1, 2), -1), (1, 1)) == Q(-1, 4)
+        assert CharacterPoint((Q(1, 2), -1), (2, 1)).slope((1, 1)) == Q(-1, 4)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            theta_slope((1, -1), (0, 0))
+            CharacterPoint((1, -1), (1, 1)).slope((0, 0))
 
 
 class TestVerifySubrep:
@@ -255,7 +256,7 @@ class TestDestabilizerSearch:
                 found += 1
                 check = verify_subrep(rep, result.witness)
                 assert check.valid
-                assert theta_slope(theta, check.dims) == result.slope > 0
+                assert CharacterPoint(theta, rep.n).slope(check.dims) == result.slope > 0
         assert found > 0
 
     def test_scaling_theta_preserves_verdict(self):

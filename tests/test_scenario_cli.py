@@ -131,6 +131,22 @@ class TestLoadScenario:
             load_scenario(doc)
         assert (path, f"not an integer: {value!r}") in err.value.violations
 
+    @pytest.mark.parametrize("field,path", [
+        (("decomposition", 0, "vector"), "$.decomposition[0].vector"),
+        (("filtrations", "F", 1, "class"), "$.filtrations.F[1].class"),
+    ])
+    @pytest.mark.parametrize("name", [["w"], {"w": 1}, [], {}])
+    def test_non_string_name_is_a_violation(self, field, path, name):
+        doc = base_doc()
+        *parents, key = field
+        entry = doc
+        for part in parents:
+            entry = entry[part]
+        entry[key] = name
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert path in [p for p, _ in err.value.violations]
+
     @pytest.mark.parametrize("quiver", [
         {"loops": ["x", 0]},
         {"loops": [1.5, 0]},
@@ -375,6 +391,25 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "domain"
 
+    def test_zero_dimension_simple_exists_exit_one(self, capsys):
+        rc = main(["--scenario", json.dumps(base_doc()), "quiver", "simple-exists",
+                   "--n", "0,0"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "domain"
+
+    def test_huge_loop_count_exit_two(self, capsys):
+        # A summand of square 2k - 2 carries k loops; the representation's
+        # three maps are rejected before any arrow list is built.
+        doc = base_doc()
+        doc["lattice"]["gram"][0][0] = 2 * 10**30 - 2
+        start = time.perf_counter()
+        rc = main(["--scenario", json.dumps(doc), "quiver", "build"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "schema"
+
     def test_inconclusive_product_shape_exit_one(self, tmp_path, capsys):
         # An isotropic summand pairing to 1 with the positive one leaves
         # the analyzer inconclusive, which has no product shape.
@@ -582,6 +617,8 @@ def test_rep_commands_end_in_one_verdict(case):
 # --- fuzzing the walls and stability commands ------------------------------
 
 VECTOR_NAMES = ("w", "s", "v", "u")   # u is never defined
+WIRE_NAMES = st.one_of(st.sampled_from(VECTOR_NAMES),
+                       st.sampled_from([["w"], {"w": 1}, [], {}, 5, None, True]))
 FUNCTION_NAMES = ("Z0", "Z", "Y")     # Y is never defined
 EXACT_RATIONALS = st.sampled_from(["0", "1/2", "-1/4", "3", "-2/3", "1", "-1", 2, 0])
 INLINE = st.one_of(
@@ -601,12 +638,12 @@ ELLS = st.sampled_from(["5", "0", "-1", "x", "1.5", "", "99"])
 def walls_and_stability_scenarios(draw):
     """The tree scenario with well-formed replacements in its
     ``vectors``, ``stability`` and ``characters`` sections, at most one
-    of these or ``decomposition`` mutated, and an argv for one ``walls``
-    or ``stability`` action."""
+    of these, ``decomposition`` or the filtration classes mutated, and
+    an argv for one ``walls`` or ``stability`` action."""
     doc = base_doc()
     del doc["representations"]
     target = draw(st.sampled_from(
-        [None, None, "vectors", "decomposition", "stability", "characters"]))
+        [None, None, "vectors", "decomposition", "stability", "characters", "filtrations"]))
 
     def pick(exact, wire, section):
         return draw(wire if section == target else exact)
@@ -629,11 +666,14 @@ def walls_and_stability_scenarios(draw):
             for entry in doc["decomposition"]:
                 entry["multiplicity"] = draw(st.one_of(st.integers(-1, 3), WIRE_RATIONALS))
         elif mutation == "names":
-            doc["decomposition"] = [{"vector": draw(st.sampled_from(VECTOR_NAMES)),
+            doc["decomposition"] = [{"vector": draw(WIRE_NAMES),
                                      "multiplicity": draw(st.integers(1, 2))}
                                     for _ in range(draw(st.integers(0, 3)))]
         else:
             doc["decomposition"] = draw(WIRE_RATIONALS)
+    if target == "filtrations":
+        for step in doc["filtrations"]["F"]:
+            step["class"] = draw(WIRE_NAMES)
     for name in draw(st.lists(st.sampled_from(FUNCTION_NAMES), unique=True, max_size=3)):
         doc["stability"][name] = pick(
             st.lists(gaussian, min_size=2, max_size=2),

@@ -46,6 +46,30 @@ def test_linalg_has_no_function_only_tests_use():
     assert public and sorted(public - used) == []
 
 
+def test_library_has_no_function_only_tests_use():
+    # Every public module-level function must be read somewhere in the
+    # library, by name or as an attribute, or be re-exported from the
+    # package __init__; helpers only tests call live in tests/genutil.py.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    exported = {alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = [
+        f"{name[:-3]}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in exported | read
+    ]
+    assert unused == []
+
+
 def test_library_has_no_unused_imports():
     # Every name a module imports must be read in that module; the
     # package __init__ imports only to re-export.

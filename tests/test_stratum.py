@@ -24,8 +24,9 @@ from quivermoduli.stratum import (
     Inconclusive,
     ProductSplit,
     TotallySemistableShape,
-    positive_cone_member,
 )
+
+from genutil import positive_cone_member
 
 
 def imaginary_reference(lat, coefficients):

@@ -25,10 +25,11 @@ from quivermoduli import (
 from quivermoduli.errors import DegenerateValueError, LatticeMismatchError
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stability import I
-from quivermoduli.walls import Wall, degree_of_class
+from quivermoduli.walls import Wall
 
 from genutil import (
     add_stability,
+    degree_of_class,
     orthogonal_character,
     random_decomposition,
     random_gaussian,

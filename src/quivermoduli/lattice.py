@@ -44,7 +44,7 @@ class GramLattice:
     even: bool = False
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(map(int, row)) for row in self.gram)
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
@@ -63,7 +63,7 @@ class GramLattice:
         return len(self.gram)
 
     def vector(self, coords: Iterable[int]) -> "LatticeVector":
-        return LatticeVector(tuple(int(c) for c in coords), self)
+        return LatticeVector(coords, self)
 
     def basis_vector(self, k: int) -> "LatticeVector":
         return self.vector(tuple(1 if i == k else 0 for i in range(self.rank)))
@@ -78,7 +78,7 @@ class LatticeVector:
     lattice: GramLattice
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
         if len(self.coords) != self.lattice.rank:
             raise LatticeMismatchError(
                 f"vector of length {len(self.coords)} in a rank-{self.lattice.rank} lattice"

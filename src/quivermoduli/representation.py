@@ -511,6 +511,10 @@ def _grid_seeds(
             yield "grid-tuple", seeds
 
 
+# The 21 values a PRNG seed entry a/b can take, a in [-3, 3], b in [1, 3].
+_PRNG_ENTRIES = {(a, b): Fraction(a, b) for a in range(-3, 4) for b in range(1, 4)}
+
+
 def _prng_seeds(
     rep: DoubleQuiverRep, limits: SearchLimits
 ) -> Iterator[SeedSet]:
@@ -518,7 +522,9 @@ def _prng_seeds(
     for _ in range(limits.prng_samples):
         seeds = []
         for vertex, m in enumerate(rep.n):
-            _, vec = clear([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)])
+            _, vec = clear(
+                [_PRNG_ENTRIES[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(m)]
+            )
             if any(vec):
                 seeds.append((vertex, vec))
         if seeds:

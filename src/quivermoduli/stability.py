@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add, mul
 from typing import Optional, Sequence, Union
 
@@ -36,12 +36,14 @@ class GaussianRational:
     im: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
+        return cls(re, im)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -180,25 +182,23 @@ class StabilityFunction:
     values: tuple[GaussianRational, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.lattice.rank:
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != self.lattice.rank:
             raise LatticeMismatchError(
-                f"{len(self.values)} basis values for a rank-{self.lattice.rank} lattice"
+                f"{len(values)} basis values for a rank-{self.lattice.rank} lattice"
             )
+        # _cleared = (D, xs, ys): the basis values as (xs[k] + i*ys[k]) / D
+        # over their least common positive denominator D.  It is set
+        # outside the fields, which alone make up __eq__, __hash__ and
+        # __repr__.
+        den, nums = clear([x for z in values for x in (z.re, z.im)])
+        object.__setattr__(self, "_cleared", (den, nums[0::2], nums[1::2]))
 
     def __call__(self, v: LatticeVector) -> GaussianRational:
         x, y = self._numerators(v)
         den = self._cleared[0]
         return GaussianRational(Fraction(x, den), Fraction(y, den))
-
-    # Built once per function from the frozen basis values; the cache
-    # lives outside the fields, which alone make up __eq__, __hash__ and
-    # __repr__.
-    @cached_property
-    def _cleared(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(D, xs, ys): the basis values as (xs[k] + i*ys[k]) / D over
-        their least common positive denominator D."""
-        den, nums = clear([x for z in self.values for x in (z.re, z.im)])
-        return den, nums[0::2], nums[1::2]
 
     def _numerators(self, v: LatticeVector) -> tuple[int, int]:
         """Z(v) = (x + i*y) / D as the integer pair (x, y), with D the

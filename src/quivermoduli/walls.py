@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -39,27 +38,22 @@ class CharacterPoint:
     n: DimVector
 
     def __post_init__(self):
-        theta = tuple(Fraction(t) for t in self.theta)
-        n = tuple(int(x) for x in self.n)
+        theta = tuple(t if type(t) is Fraction else Fraction(t) for t in self.theta)
+        n = tuple(map(int, self.n))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "n", n)
         if len(theta) != len(n):
             raise LatticeMismatchError(
                 f"character of length {len(theta)} against dimension vector of length {len(n)}"
             )
+        # _cleared = (D, nums): theta as nums / D over the least common
+        # positive denominator D.  It is set outside the fields, which
+        # alone make up __eq__, __hash__ and __repr__.
+        object.__setattr__(self, "_cleared", clear(theta))
         if _dot(self._cleared[1], n) != 0:
             raise LatticeMismatchError(
                 "character does not annihilate the dimension vector"
             )
-
-    # Built once per point from the frozen theta; the cache lives
-    # outside the fields, which alone make up __eq__, __hash__ and
-    # __repr__.
-    @cached_property
-    def _cleared(self) -> tuple[int, tuple[int, ...]]:
-        """(D, nums): theta as nums / D over the least common positive
-        denominator D."""
-        return clear(self.theta)
 
     def _dot_numerator(self, alpha: Sequence[int]) -> int:
         """theta . alpha times the positive denominator of ``_cleared``."""

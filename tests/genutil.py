@@ -119,6 +119,26 @@ def random_gaussian(rng: random.Random, bound: int = 3) -> GaussianRational:
     return GaussianRational(frac(), frac())
 
 
+class FractionSubclass(Fraction):
+    """A ``Fraction`` subtype; value constructors store plain ``Fraction``s."""
+
+
+# Reference normalisers: each field coerced twice, as the value
+# constructors once did (``GaussianRational.of`` converted to
+# ``Fraction`` before ``__post_init__`` converted again, and
+# ``GramLattice.vector`` coerced coordinates before ``LatticeVector``
+# did).  The constructors must agree with them on value, field type and
+# exception.
+
+
+def reference_rational(x) -> Fraction:
+    return Fraction(Fraction(x))
+
+
+def reference_ints(entries) -> tuple[int, ...]:
+    return tuple(int(c) for c in tuple(int(c) for c in entries))
+
+
 def random_stability(rng: random.Random, lat: GramLattice) -> StabilityFunction:
     return StabilityFunction(lat, tuple(random_gaussian(rng) for _ in range(lat.rank)))
 

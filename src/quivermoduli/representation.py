@@ -582,8 +582,6 @@ def destabilizer_search(
     for category, mask in closures.masks(_all_seeds(rep, limits)):
         counts[category] = counts.get(category, 0) + 1
         _, spaces, m = closures.generated(mask)
-        if sum(m) == 0:
-            continue
         if sum(map(mul, signs, m)) > 0:  # positive slope
             witness = _witness_from_spaces(spaces)
             check = verify_subrep(rep, witness)

@@ -24,7 +24,7 @@ from .errors import QuiverModuliError, ScenarioError
 from .lattice import GramLattice, LatticeVector
 from .quiver import DEFAULT_ROOT_BUDGET, ExtQuiver, build_ext_quiver
 from .representation import DEFAULT_SEARCH_BUDGET, DoubleQuiverRep, SearchLimits
-from .stability import GaussianRational, StabilityFunction
+from .stability import GaussianRational, StabilityFunction, WeightedFiltration
 
 # Largest sum(n_i^2) of a representation's dimension vector.  The
 # moment map builds an n_i x n_i block at every vertex whatever the
@@ -200,15 +200,14 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     else:
         text = str(source)
         try:
-            path = Path(text)
-            if path.exists():
-                text = path.read_text()
+            text, from_file = Path(text).read_text(), True
         except (OSError, ValueError):
-            pass  # not a usable path; treat as inline JSON text
+            from_file = False  # not a readable file; treat as inline JSON text
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ScenarioError([("$", f"invalid JSON: {exc}")])
+            raise ScenarioError([("$", f"invalid JSON: {exc}" if from_file else
+                                  f"no readable scenario file at {text!r} and not inline JSON")])
     if not isinstance(doc, dict):
         raise ScenarioError([("$", "top level must be an object")])
 
@@ -227,9 +226,6 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
     vectors: dict[str, LatticeVector] = {}
     for name, coords in _section(doc, "vectors", "coords", violations).items():
-        if name in vectors:
-            violations.append((f"$.vectors.{name}", "duplicate vector name"))
-            continue
         try:
             vectors[name] = lattice.vector(coords)
         except (QuiverModuliError, TypeError, ValueError, OverflowError) as exc:
@@ -288,6 +284,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             violations.append((path, "expected a list of {weight, vector}"))
             continue
         parsed_steps = []
+        found = len(violations)
         for k, step in enumerate(steps):
             if not isinstance(step, dict) or "weight" not in step or "class" not in step:
                 violations.append((f"{path}[{k}]", "expected {weight, class}"))
@@ -299,6 +296,11 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                 continue
             weight = _parse_int(step["weight"], f"{path}[{k}].weight", violations)
             parsed_steps.append((weight, step["class"]))
+        if len(violations) == found:
+            try:
+                WeightedFiltration(tuple((w, vectors[v]) for w, v in parsed_steps))
+            except ValueError as exc:
+                violations.append((path, str(exc)))
         filtrations[name] = tuple(parsed_steps)
 
     quiver = None
@@ -358,15 +360,9 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
                 violations.append((f"{path}.n", f"sum of squared dimensions "
                                    f"{squares} exceeds {MAX_REP_SQUARES}"))
                 continue
-            xs = tuple(
-                tuple(tuple(Fraction(x) for x in row) for row in m)
-                for m in rep_doc.get("x", ())
+            scenario.representations[name] = DoubleQuiverRep(
+                q, n, rep_doc.get("x", ()), rep_doc.get("y", ())
             )
-            ys = tuple(
-                tuple(tuple(Fraction(x) for x in row) for row in m)
-                for m in rep_doc.get("y", ())
-            )
-            scenario.representations[name] = DoubleQuiverRep(q, n, xs, ys)
         except (QuiverModuliError, TypeError, ValueError, ZeroDivisionError,
                 OverflowError) as exc:
             violations.append((path, str(exc)))

@@ -142,7 +142,14 @@ def detect_totally_semistable(
 
 @dataclass(frozen=True)
 class HasStableDeformation:
-    """Some sub-sum of the decomposition deforms to a stable object."""
+    """Some sub-sum of the decomposition, taken with multiplicity one,
+    deforms to a stable object.  ``summand_indices`` lists, by ``via``:
+    "merge", the pair that merges, which deforms; "multiplicity", the
+    repeated positive-square summand; "genus", the whole vertex set the
+    genus test found a cycle in (a spherical component, then the
+    adjacent positive vertex if added), in which the cycle deforms but
+    the set itself need not; "component", one component's verdict with
+    its indices lifted to the whole decomposition."""
 
     kind = "has_stable_deformation"
     summand_indices: tuple[int, ...]
@@ -281,14 +288,13 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
         trace.append(_trace("connectivity", "split", components=[list(c) for c in comps]))
         factors: list[Factor] = []
         for comp in comps:
-            sub = PolystableDecomposition.of(
-                (classes[i], mults[i]) for i in comp
-            )
             if len(comp) == 1:
                 i = comp[0]
                 factors.append(_single_vertex_factor(classes[i], squares[i], mults[i]))
                 continue
-            sub_report = _analyze(sub)
+            sub_report = _analyze(
+                PolystableDecomposition.of((classes[i], mults[i]) for i in comp)
+            )
             trace.extend(
                 {**entry, "component": list(comp)} for entry in sub_report.trace
             )
@@ -299,7 +305,7 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
                 )
             if isinstance(sub_report.verdict, Inconclusive):
                 return StratumReport(sub_report.verdict, tuple(trace))
-            factors.extend(_factors_of(sub_report.verdict))
+            factors.extend(product_shape(sub_report))
         return StratumReport(ProductSplit(tuple(factors)), tuple(trace))
     trace.append(_trace("connectivity", "passed"))
 
@@ -325,7 +331,9 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
     trace.append(_trace("genus", "passed"))
 
     # (7) shape: the surviving data must be one optional positive class
-    # plus multiplicity-one spherical classes.
+    # plus multiplicity-one spherical classes.  No isotropic summand is
+    # left: after (4) one pairs 0 with every other summand, so (5) split
+    # it off, and a lone one has total square 0.
     if len(positives) > 1:
         trace.append(_trace("shape", "violation", positives=positives))
         return StratumReport(
@@ -335,16 +343,8 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
             ),
             tuple(trace),
         )
-    isotropic = [i for i in range(s) if squares[i] == 0]
-    if isotropic:
-        # Non-isolated isotropic vertices were handled in (4)/(5).
-        trace.append(_trace("shape", "violation", isotropic=isotropic))
-        return StratumReport(
-            Inconclusive("connected data still contains an isotropic summand"),
-            tuple(trace),
-        )
-    if any(mults[i] > 1 for i in spherical):
-        heavy = [i for i in spherical if mults[i] > 1]
+    heavy = [i for i in spherical if mults[i] > 1]
+    if heavy:
         trace.append(_trace("shape", "violation", repeated_spheres=heavy))
         return StratumReport(
             Inconclusive(
@@ -363,30 +363,17 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
         return StratumReport(TotallySemistableShape(None, sphere_classes), tuple(trace))
     trace.append(_trace("shape", "passed"))
 
-    # (8) leaf test: the graph is a tree by (5)+(6); a spherical leaf
-    # pairs to -1 with the total class, certifying the wall criteria.
-    total = decomp.total()
-    leaf = None
-    for i in spherical:
-        neighbours = [j for j in range(s) if j != i and pair[i][j] > 0]
-        if len(neighbours) == 1:
-            leaf = i
-            break
-    if leaf is None:
-        trace.append(_trace("leaf", "missing"))
-        return StratumReport(
-            Inconclusive(
-                "no spherical leaf found although the graph passed the genus "
-                "test; the input data is inconsistent"
-            ),
-            tuple(trace),
-        )
-    leaf_pairing = pairing(total, classes[leaf])
-    trace.append(_trace("leaf", "found", leaf=leaf, pairing_with_total=leaf_pairing))
+    # (8) leaf test: by (5) and (6) the graph is a tree on w and at
+    # least one sphere, so it has a spherical leaf; the leaf pairs to -1
+    # with the total class, certifying the wall criteria.
+    leaf = next((i for i in spherical
+                 if sum(pair[i][j] for j in range(s) if j != i) == 1), None)
+    leaf_pairing = None if leaf is None else pairing(decomp.total(), classes[leaf])
     if leaf_pairing != -1:
         raise InternalInvariantError(
-            f"spherical leaf pairs to {leaf_pairing} with the total class, not -1"
+            f"spherical leaf {leaf} pairs to {leaf_pairing} with the total class, not -1"
         )
+    trace.append(_trace("leaf", "found", leaf=leaf, pairing_with_total=leaf_pairing))
     return StratumReport(
         TotallySemistableShape(w, sphere_classes, leaf=classes[leaf]), tuple(trace)
     )
@@ -403,30 +390,22 @@ def _graph_genus(vertices: Sequence[int], pair: list[list[int]]) -> int:
 def _single_vertex_factor(v: LatticeVector, sq: int, mult: int) -> Factor:
     if sq > 0:
         return Factor("positive", v, mult)
-    if sq == 0:
-        return Factor("symmetric_power", v, mult)
-    if mult == 1:
+    if sq < 0 and mult == 1:
         return Factor("spherical_point", v, 1)
     return Factor("symmetric_power", v, mult)
-
-
-def _factors_of(verdict: Verdict) -> tuple[Factor, ...]:
-    if isinstance(verdict, TotallySemistableShape):
-        out = []
-        if verdict.w is not None:
-            out.append(Factor("positive", verdict.w, 1))
-        out.extend(Factor("spherical_point", s, 1) for s in verdict.spheres)
-        return tuple(out)
-    if isinstance(verdict, ProductSplit):
-        return verdict.factors
-    raise DegenerateValueError(f"verdict {verdict.kind} has no product shape")
 
 
 def product_shape(report: StratumReport) -> tuple[Factor, ...]:
     """Flat factor list of a product-shaped verdict: the positive
     factor, spherical factors (each a reduced point), and symmetric
     powers of isotropic factors."""
-    return _factors_of(report.verdict)
+    verdict = report.verdict
+    if isinstance(verdict, TotallySemistableShape):
+        w = () if verdict.w is None else (Factor("positive", verdict.w, 1),)
+        return w + tuple(Factor("spherical_point", s, 1) for s in verdict.spheres)
+    if isinstance(verdict, ProductSplit):
+        return verdict.factors
+    raise DegenerateValueError(f"verdict {verdict.kind} has no product shape")
 
 
 def stable_deformation_exists(

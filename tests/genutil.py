@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import mul
 
@@ -22,7 +23,7 @@ from quivermoduli.lattice import LatticeVector, pairing, square
 from quivermoduli.linalg import Mat, RowSpace, shape
 from quivermoduli.representation import ArrowRef, SubrepCheck
 from quivermoduli.stability import GaussianRational, StabilityFunction
-from quivermoduli.stratum import HyperbolicPair
+from quivermoduli.stratum import HyperbolicPair, analyze_stratum
 from quivermoduli.walls import _coefficients, _degree_numerators, _dot
 
 # Even lattices with enough isotropic/spherical/positive classes to
@@ -339,3 +340,52 @@ def positive_cone_member(hp: HyperbolicPair, u: LatticeVector) -> bool:
     """Membership in the positive cone: integral u with u^2 >= 0 and
     <u, v> > 0.  Useful for building custom effectivity predicates."""
     return square(u) >= 0 and pairing(u, hp.v) > 0
+
+
+# Basis-class decompositions, as (Gram, multiplicities), that reach
+# cascade branches the random stratum corpus reaches rarely or never.
+STRATUM_CASES = {
+    "component-deformation": (
+        ((2, 0, 0, 0), (0, 2, 1, 1), (0, 1, -2, 1), (0, 1, 1, -2)), (1, 1, 2, 1)),
+    "component-repeated-sphere": (((4, 1, 0), (1, -2, 0), (0, 0, 2)), (1, 2, 1)),
+    "component-two-positives": (((6, 1, 0), (1, 8, 0), (0, 0, 2)), (1, 1, 1)),
+    "component-point": (((-2, 0, 1), (0, 4, 0), (1, 0, -2)), (1, 1, 1)),
+    "repeated-sphere": (((8, 1), (1, -2)), (1, 2)),
+    "two-vertex-factor": (((8, 0, 1), (0, 8, 0), (1, 0, -2)), (1, 1, 1)),
+    "sphere-power": (((6, 0, 0), (0, -2, 0), (0, 0, 4)), (1, 2, 1)),
+}
+
+
+def basis_decomposition(gram, mults) -> PolystableDecomposition:
+    """The basis classes of an even Gram matrix with multiplicities."""
+    lat = GramLattice(tuple(map(tuple, gram)), even=True)
+    return PolystableDecomposition.of(
+        (lat.basis_vector(i), m) for i, m in enumerate(mults)
+    )
+
+
+def random_stratum_case(rng: random.Random):
+    """(Gram, multiplicities) with positive total square: an even Gram
+    of rank 1-5 with diagonal in {-2, 0, ..., 8} and off-diagonal
+    entries in {0, 1, 2}, and multiplicities 1-3."""
+    while True:
+        r = rng.randint(1, 5)
+        gram = [[0] * r for _ in range(r)]
+        for i in range(r):
+            gram[i][i] = rng.choice((-2, 0, 2, 4, 6, 8))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.choice((0, 1, 2))
+        mults = [rng.randint(1, 3) for _ in range(r)]
+        total = sum(mults[i] * gram[i][j] * mults[j] for i in range(r) for j in range(r))
+        if total > 0:
+            return gram, mults
+
+
+@cache
+def stratum_corpus(seed: int = 17, count: int = 10_000) -> tuple[tuple, ...]:
+    """(Gram, multiplicities, report) for the STRATUM_CASES and then
+    ``count`` seeded random cases; computed once per session."""
+    rng = random.Random(seed)
+    cases = [*STRATUM_CASES.values(), *(random_stratum_case(rng) for _ in range(count))]
+    return tuple((gram, mults, analyze_stratum(basis_decomposition(gram, mults)))
+                 for gram, mults in cases)

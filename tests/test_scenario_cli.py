@@ -380,6 +380,43 @@ class TestMainEntry:
             "violations": [["$.stability", "must be an object of name -> basis values"]],
         }
 
+    @pytest.mark.parametrize("steps,message", [
+        ([{"weight": 0, "class": "s"}, {"weight": 1, "class": "w"}],
+         "weights must strictly decrease; got 0 then 1"),
+        ([], "a weighted filtration needs at least one step"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["stability", "weight", "Z0", "F"],
+        ["stability", "kclass", "F"],
+    ])
+    def test_malformed_filtration_exit_two(self, capsys, steps, message, command):
+        doc = base_doc()
+        doc["filtrations"]["F"] = steps
+        rc = main(["--scenario", json.dumps(doc), *command])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "schema", "violations": [["$.filtrations.F", message]],
+        }
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_scenario_path_exit_two(self, tmp_path, capsys, where):
+        source = str(tmp_path / "no" / "such.json" if where == "missing" else tmp_path)
+        rc = main(["--scenario", source, "lattice", "signature"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "schema",
+            "violations": [["$", f"no readable scenario file at {source!r} "
+                                 "and not inline JSON"]],
+        }
+
+    def test_scenario_file_of_bad_json_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text("{")
+        rc = main(["--scenario", str(path), "lattice", "signature"])
+        assert rc == 2
+        [[where, message]] = json.loads(capsys.readouterr().err)["violations"]
+        assert where == "$" and message.startswith("invalid JSON: ")
+
     @pytest.mark.parametrize("action", ["destabilize", "jh"])
     def test_zero_dimension_search_exit_one(self, tmp_path, capsys, action):
         doc = base_doc()

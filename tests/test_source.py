@@ -8,6 +8,8 @@ from pathlib import Path
 
 from quivermoduli.cli import COMMANDS
 
+from genutil import stratum_corpus
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "quivermoduli"
 
@@ -102,6 +104,32 @@ def test_lattice_imports_nothing_from_fractions():
             and any(alias.name == "fractions" for alias in node.names))
     ]
     assert found == []
+
+
+def cascade_branches() -> set[tuple[str, str, tuple[str, ...]]]:
+    """(step, outcome, sorted detail keys) of every ``_trace`` call in
+    the stratum cascade: one per branch that ends or passes a step."""
+    tree = ast.parse((SRC / "stratum.py").read_text())
+    return {
+        (node.args[0].value, node.args[1].value,
+         tuple(sorted(k.arg for k in node.keywords)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_trace"
+    }
+
+
+def test_stratum_corpus_reaches_every_cascade_branch():
+    # A cascade branch whose trace entry no corpus case emits is code
+    # that no test runs: give it a case, or delete it.
+    emitted = {
+        (entry["step"], entry["outcome"], tuple(sorted(entry.get("detail", ()))))
+        for _, _, report in stratum_corpus()
+        for entry in report.trace
+    }
+    branches = cascade_branches()
+    assert len(branches) > 10
+    assert sorted(branches - emitted) == []
 
 
 def readme_commands() -> list[tuple[str, int, tuple[str, ...]]]:

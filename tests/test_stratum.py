@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from quivermoduli import cli
 from quivermoduli import (
     GramLattice,
     HyperbolicPair,
@@ -18,6 +21,7 @@ from quivermoduli import (
     stable_deformation_exists,
 )
 from quivermoduli.errors import LatticeMismatchError, NormalizationError
+from quivermoduli.scenario import to_wire
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stratum import (
     HasStableDeformation,
@@ -26,7 +30,12 @@ from quivermoduli.stratum import (
     TotallySemistableShape,
 )
 
-from genutil import positive_cone_member
+from genutil import (
+    STRATUM_CASES,
+    basis_decomposition,
+    positive_cone_member,
+    stratum_corpus,
+)
 
 
 def imaginary_reference(lat, coefficients):
@@ -473,3 +482,131 @@ class TestStableDeformationBridge:
                     [(dec.classes[i], 1), (dec.classes[j], 1)]
                 )
                 assert stable_deformation_exists(sub)
+
+
+def rank2_wall_corpus():
+    """(lattice, multiplicities, Z0) for every even Gram ((a, b), (b, d))
+    with a, d in {-2, 0, ..., 8}, 0 <= b <= 5 and ad - b^2 < 0, every
+    e1^m1 + e2^m2 with 1 <= m_i <= 3 and positive square, and
+    Z0 = i * x for x in (1, 1), (1, 2), (2, 1)."""
+    for a in range(-2, 9, 2):
+        for d in range(-2, 9, 2):
+            for b in range(6):
+                if a * d - b * b >= 0:
+                    continue
+                lat = GramLattice(((a, b), (b, d)), even=True)
+                for mults in ((m1, m2) for m1 in range(1, 4) for m2 in range(1, 4)):
+                    if square(lat.vector(mults)) <= 0:
+                        continue
+                    for x in ((1, 1), (1, 2), (2, 1)):
+                        yield lat, mults, imaginary_reference(lat, x)
+
+
+def test_stable_objects_exist_off_totally_semistable_walls():
+    # The paper's theorem at a polystable point: off a totally
+    # semistable wall, stable objects are dense, so the local quiver
+    # has a simple representation of dimension n = (m_i).  A box answer
+    # certifies only its box, hence the large bound.
+    cases = undetected = 0
+    for lat, mults, z0 in rank2_wall_corpus():
+        cases += 1
+        v = lat.vector(mults)
+        if detect_totally_semistable(HyperbolicPair(lat, v), z0, 40):
+            continue
+        undetected += 1
+        dec = basis_decomposition(lat.gram, mults)
+        assert stable_deformation_exists(dec), (lat.gram, mults, z0.values)
+    assert (cases, undetected) == (3156, 2131)
+
+
+def shape_obj(report):
+    """Wire form of ``product_shape`` of a report, or its error."""
+    try:
+        return to_wire([cli._factor_obj(f) for f in product_shape(report)])
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# sha256 of the wire verdict, the trace and the product shape (or its
+# error) of every case of genutil.stratum_corpus, one JSON line each.
+STRATUM_DIGEST = "9b64e35ce02e31ddcfb6d753a4d4ed0fb3126afcbde54239239c505b69f76589"
+
+
+def test_stratum_answers_match_recorded_digest():
+    lines = [
+        json.dumps([gram, mults, cli._verdict_obj(report.verdict),
+                    list(report.trace), shape_obj(report)])
+        for gram, mults, report in stratum_corpus()
+    ]
+    assert len(lines) == len(STRATUM_CASES) + 10_000
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == STRATUM_DIGEST
+
+
+def analyze_case(name):
+    return analyze_stratum(basis_decomposition(*STRATUM_CASES[name]))
+
+
+def component_entries(report):
+    """(component, step, outcome) of the trace entries of a recursion."""
+    return [(e["component"], e["step"], e["outcome"])
+            for e in report.trace if "component" in e]
+
+
+class TestStratumCases:
+    def test_deformation_found_inside_a_component(self):
+        report = analyze_case("component-deformation")
+        assert report.verdict == HasStableDeformation((2, 3, 1), via="component")
+        assert component_entries(report)[-1] == ([1, 2, 3], "genus", "stable-deformation")
+
+    def test_repeated_sphere_inside_a_component(self):
+        report = analyze_case("component-repeated-sphere")
+        assert isinstance(report.verdict, Inconclusive)
+        assert "multiplicity > 1" in report.verdict.reason
+        assert report.trace[-1]["detail"] == {"repeated_spheres": [1]}
+        assert report.trace[-1]["component"] == [0, 1]
+
+    def test_two_positives_inside_a_component(self):
+        report = analyze_case("component-two-positives")
+        assert isinstance(report.verdict, Inconclusive)
+        assert "more than one positive" in report.verdict.reason
+        assert report.trace[-1]["detail"] == {"positives": [0, 1]}
+        assert report.trace[-1]["component"] == [0, 1]
+
+    def test_point_shape_inside_a_component(self):
+        report = analyze_case("component-point")
+        assert component_entries(report)[-1] == ([0, 2], "shape", "point")
+        assert [(f.kind, f.v.coords) for f in product_shape(report)] == [
+            ("spherical_point", (1, 0, 0)),
+            ("spherical_point", (0, 0, 1)),
+            ("positive", (0, 1, 0)),
+        ]
+
+    def test_repeated_sphere_at_top_level(self):
+        report = analyze_case("repeated-sphere")
+        assert isinstance(report.verdict, Inconclusive)
+        assert report.trace[-1] == {
+            "step": "shape", "outcome": "violation",
+            "detail": {"repeated_spheres": [1]},
+        }
+
+    def test_product_split_with_a_two_vertex_factor(self):
+        report = analyze_case("two-vertex-factor")
+        assert isinstance(report.verdict, ProductSplit)
+        assert component_entries(report)[-1] == ([0, 2], "leaf", "found")
+        assert report.trace[-1]["detail"] == {"leaf": 1, "pairing_with_total": -1}
+        assert [(f.kind, f.v.coords) for f in product_shape(report)] == [
+            ("positive", (1, 0, 0)),
+            ("spherical_point", (0, 0, 1)),
+            ("positive", (0, 1, 0)),
+        ]
+
+    def test_repeated_singleton_sphere_is_a_symmetric_power(self):
+        report = analyze_case("sphere-power")
+        assert report.trace[-1]["detail"] == {"components": [[0], [1], [2]]}
+        assert [(f.kind, f.v.coords, f.multiplicity)
+                for f in product_shape(report)] == [
+            ("positive", (1, 0, 0), 1),
+            ("symmetric_power", (0, 1, 0), 2),
+            ("positive", (0, 0, 1), 1),
+        ]

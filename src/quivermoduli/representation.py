@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache, cached_property
-from math import lcm
-from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from functools import cache, cached_property, lru_cache
+from math import lcm, prod
+from operator import attrgetter, mul
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -237,10 +238,10 @@ class SearchLimits:
     bitmask sums of ``_SeedClosures``.  When T exceeds what remains, the
     closure raises ``BudgetExceededError`` (which
     ``jordan_holder_search`` reports as incomplete) after at most the
-    per-vector closures of its own seed set.  The seed categories:
-    single standard basis vectors, coordinate subspace combinations,
-    small-grid seeds (only when the total dimension is at most
-    ``grid_dim_cap``), then ``prng_samples`` seeded random vectors.
+    per-vector closures of its own seed set.  The other fields fix the
+    seed sets, which every search on one dimension vector under equal
+    limits, whatever its budget, reads from one shared ``_SeedPlan``
+    (see there for the categories).
     """
 
     budget: int = DEFAULT_SEARCH_BUDGET
@@ -284,7 +285,7 @@ class _BudgetMeter:
 
 IntVec = Sequence[int]
 OutMaps = list[list[tuple[IntMat, int]]]
-SeedSet = tuple[str, list[tuple[int, IntVec]]]  # (category, seeds as (vertex, vector))
+SeedSet = tuple[str, tuple[int, ...]]  # (category, seed numbers in a _SeedPlan)
 MaskSet = tuple[str, int]  # (category, mask of the seeds' closures)
 
 
@@ -312,24 +313,29 @@ class _SeedClosures:
 
     The subrepresentation generated by seed vectors s_1..s_k is
     cl(s_1) + ... + cl(s_k), since a sum of subrepresentations is one.
-    The maps are iterated once per distinct ``(vertex, vector)`` seed,
-    and each distinct closure gets one bit: equal closures share it,
-    keyed by their primitive echelon rows, which are unique for a
-    subspace.  A seed set is the OR of its seeds' bits, taken in seed
-    order up to the first seed after which the sum fills the
-    representation.  Each distinct mask's sum is built once, with its
-    weight w = sum over vertices v of dim_v times the maps leaving v.
-    The sum over a base mask B is charged w(B | mask) - w(B) each time
-    it is asked for: what the worklist of the closure from B would spend
-    (see ``SearchLimits``).
+    Seeds are numbers into ``seeds``, a ``_SeedPlan``'s list of
+    (vertex, direction) pairs, so the maps are iterated once per
+    distinct direction, and each distinct closure gets one bit: equal
+    closures share it, keyed by their primitive echelon rows, which are
+    unique for a subspace.  A seed set is the OR of its seeds' bits,
+    taken in seed order up to the first seed after which the sum fills
+    the representation.  Each distinct mask's sum is built once, with
+    its weight w = sum over vertices v of dim_v times the maps leaving
+    v.  The sum over a base mask B is charged w(B | mask) - w(B) each
+    time it is asked for: what the worklist of the closure from B would
+    spend (see ``SearchLimits``).  All of this lives as long as the
+    search; only the plan is shared.
     """
 
-    def __init__(self, rep: DoubleQuiverRep, meter: _BudgetMeter):
+    def __init__(self, rep: DoubleQuiverRep, meter: _BudgetMeter,
+                 seeds: Sequence[tuple[int, IntVec]]):
         self.out_maps = _out_maps(rep)
         self.out_degree = [len(maps) for maps in self.out_maps]
         self.n = list(rep.n)
         self.meter = meter
-        self.bit_of: dict[tuple[int, IntVec], int] = {}
+        self.seeds = seeds
+        self.bit_of: dict[int, int] = {}  # seed number -> bit
+        self.set_masks: list[int] = []  # the masks of the seed sets read so far
         self.interned: dict[tuple, int] = {(): 0}  # the zero closure adds no bit
         self.parts: list[tuple[tuple[int, RowSpace, int], ...]] = []
         # mask -> (spaces, dims, weight) of its sum
@@ -351,10 +357,10 @@ class _SeedClosures:
                     worklist.append((target, image))
         return tuple((i, space, space.dim) for i, space in enumerate(spaces) if space.dim)
 
-    def _bit(self, seed: tuple[int, IntVec]) -> int:
+    def _bit(self, seed: int) -> int:
         bit = self.bit_of.get(seed)
         if bit is None:
-            parts = self._of(*seed)
+            parts = self._of(*self.seeds[seed])
             key = tuple((i, tuple(map(tuple, space._rows))) for i, space, _ in parts)
             bit = self.interned.get(key)
             if bit is None:
@@ -400,10 +406,14 @@ class _SeedClosures:
             self.sums[mask] = (spaces, dims, sum(map(mul, dims, self.out_degree)))
         return mask
 
-    def masks(self, seed_sets: Iterator[SeedSet]) -> Iterator[MaskSet]:
-        """Each seed set as (category, mask)."""
-        for category, seeds in seed_sets:
-            yield category, self._sum(0, map(self._bit, seeds))
+    def masks(self, seed_sets: Iterable[SeedSet]) -> Iterator[MaskSet]:
+        """Each seed set as (category, mask).  Every pass of a search
+        reads its plan from the start, so the k-th mask is kept and read
+        back on later passes, which close no seed."""
+        for k, (category, seeds) in enumerate(seed_sets):
+            if k == len(self.set_masks):
+                self.set_masks.append(self._sum(0, map(self._bit, seeds)))
+            yield category, self.set_masks[k]
 
     def generated(self, mask: int, base: int = 0) -> tuple[int, list[RowSpace], list[int]]:
         """``base | mask`` with its sum and dimension vector (memoised
@@ -427,44 +437,18 @@ def _unit(m: int, k: int) -> tuple[int, ...]:
     return tuple(1 if c == k else 0 for c in range(m))
 
 
-def _basis_seeds(rep: DoubleQuiverRep) -> Iterator[SeedSet]:
-    for vertex, m in enumerate(rep.n):
-        for k in range(m):
-            yield "basis", [(vertex, _unit(m, k))]
-
-
-def _subset_seeds(
-    rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[SeedSet]:
-    coords = [
-        (vertex, k) for vertex, m in enumerate(rep.n) for k in range(m)
-    ]
-    count = 0
-    for size in range(2, len(coords) + 1):
-        for subset in itertools.combinations(coords, size):
-            if count >= limits.max_subset_seeds:
-                return
-            count += 1
-            yield "subset", [(vertex, _unit(rep.n[vertex], k)) for vertex, k in subset]
+def _direction(vec: IntVec) -> tuple[int, ...]:
+    """The primitive multiple of a nonzero integer vector whose first
+    nonzero entry is positive; every vector on a line has the same."""
+    vec = primitive(vec)
+    return vec if next(filter(None, vec)) > 0 else tuple(-x for x in vec)
 
 
 @cache
 def _grid_directions(dim: int, radius: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive grid vectors up to positive scaling, first nonzero
-    coordinate positive, in deterministic order."""
-    seen = set()
-    out = []
-    for cand in itertools.product(range(-radius, radius + 1), repeat=dim):
-        if all(c == 0 for c in cand):
-            continue
-        lead = next(c for c in cand if c != 0)
-        if lead < 0:
-            cand = tuple(-c for c in cand)
-        cand = primitive(cand)
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-    return tuple(out)
+    """The directions of the nonzero grid vectors, in deterministic order."""
+    grid = itertools.product(range(-radius, radius + 1), repeat=dim)
+    return tuple(dict.fromkeys(_direction(vec) for vec in grid if any(vec)))
 
 
 @cache
@@ -485,77 +469,119 @@ def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(tuple(clear(row)[1] for row in basis) for basis in ordered)
 
 
-def _grid_seeds(
-    rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[SeedSet]:
-    if rep.total_dim > limits.grid_dim_cap:
-        return
-    for vertex, m in enumerate(rep.n):
-        if m > 4:
-            continue  # direction count grows as 3^m
-        for vec in _grid_directions(m, limits.grid_radius):
-            yield "grid", [(vertex, vec)]
-    if any(m > 3 for m in rep.n):
-        return  # subspace enumeration is only cheap in low vertex dimension
-    per_vertex = [_grid_subspaces(m, limits.grid_radius) for m in rep.n]
-    total = 1
-    for options in per_vertex:
-        total *= len(options)
-    if total > limits.max_grid_tuples:
-        return
-    for choice in itertools.product(*per_vertex):
-        seeds = [
-            (vertex, vec) for vertex, basis in enumerate(choice) for vec in basis
-        ]
-        if seeds:
-            yield "grid-tuple", seeds
-
-
 # The 21 values a PRNG seed entry a/b can take, a in [-3, 3], b in [1, 3].
 _PRNG_ENTRIES = {(a, b): Fraction(a, b) for a in range(-3, 4) for b in range(1, 4)}
 
 
-def _prng_seeds(
-    rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[SeedSet]:
-    rng = random.Random(limits.seed)
-    for _ in range(limits.prng_samples):
-        seeds = []
-        for vertex, m in enumerate(rep.n):
-            _, vec = clear(
-                [_PRNG_ENTRIES[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(m)]
-            )
-            if any(vec):
-                seeds.append((vertex, vec))
-        if seeds:
-            yield "prng", seeds
+class _SeedPlan:
+    """The seed sets of every search on one dimension vector under one
+    ``SearchLimits`` (its budget aside), drawn lazily and shared.
 
+    ``seeds`` lists the distinct seeds as (vertex, direction) in
+    first-seen order; a direction is a primitive integer vector whose
+    first nonzero entry is positive, and it closes to what every nonzero
+    multiple of it closes to.  The standard basis vectors are seeds
+    0..d-1, so a subset seed set is a combination of their indices.
+    ``sets`` holds the seed sets drawn so far as (category, seed
+    indices).  A reader past its end draws the next set under the
+    plan's lock, so no search draws a set it does not read and
+    concurrent searches draw each set once.
+    """
 
-def _all_seeds(rep, limits) -> Iterator[SeedSet]:
-    yield from _basis_seeds(rep)
-    yield from _subset_seeds(rep, limits)
-    yield from _grid_seeds(rep, limits)
-    yield from _prng_seeds(rep, limits)
+    def __init__(self, n: DimVector, limits: SearchLimits):
+        self.n, self.limits = n, limits
+        self.seeds = [(vertex, _unit(m, k)) for vertex, m in enumerate(n) for k in range(m)]
+        self._index = {seed: k for k, seed in enumerate(self.seeds)}
+        self.sets: list[SeedSet] = []
+        self._lock = threading.Lock()
+        self._draws = self._draw()
 
-
-def _replay(seed_sets: Iterator[MaskSet]) -> Callable[[], Iterator[MaskSet]]:
-    """Passes over one draw of ``seed_sets``: each pass re-reads the
-    seed sets drawn so far and draws more only when it runs past them,
-    so no pass draws more than a fresh generator would."""
-    drawn: list[MaskSet] = []
-
-    def replay() -> Iterator[MaskSet]:
+    def __iter__(self) -> Iterator[SeedSet]:
+        sets = self.sets
         k = 0
         while True:
-            if k == len(drawn):
-                seed_set = next(seed_sets, None)
-                if seed_set is None:
-                    return
-                drawn.append(seed_set)
-            yield drawn[k]
+            if k == len(sets):
+                with self._lock:
+                    if k == len(sets):  # no other reader drew it meanwhile
+                        try:
+                            seed_set = next(self._draws, None)
+                        except BaseException:
+                            # Leave no dead generator behind: the next
+                            # reader redraws from the sets already held.
+                            self._draws = itertools.islice(self._draw(), len(sets), None)
+                            raise
+                        if seed_set is None:
+                            return
+                        sets.append(seed_set)
+            yield sets[k]
             k += 1
 
-    return replay
+    def _indices(self, seeds: Iterable[tuple[int, IntVec]]) -> tuple[int, ...]:
+        """The seed numbers of nonzero integer seed vectors, each entered
+        as its direction when first seen."""
+        out = []
+        for vertex, vec in seeds:
+            seed = (vertex, _direction(vec))
+            if seed not in self._index:
+                self._index[seed] = len(self.seeds)
+                self.seeds.append(seed)
+            out.append(self._index[seed])
+        return tuple(out)
+
+    def _draw(self) -> Iterator[SeedSet]:
+        """In order: single standard basis vectors, coordinate subspace
+        combinations, small-grid seeds (only when the total dimension is
+        at most ``grid_dim_cap``), then ``prng_samples`` seeded random
+        vectors."""
+        n, limits = self.n, self.limits
+        d = sum(n)
+        for k in range(d):
+            yield "basis", (k,)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(d), size) for size in range(2, d + 1))
+        for count, subset in enumerate(subsets):
+            if count >= limits.max_subset_seeds:
+                break
+            yield "subset", subset
+        if d <= limits.grid_dim_cap:
+            for vertex, m in enumerate(n):
+                if m <= 4:  # direction count grows as 3^m
+                    for vec in _grid_directions(m, limits.grid_radius):
+                        yield "grid", self._indices([(vertex, vec)])
+            # Subspace enumeration is only cheap in low vertex dimension.
+            per_vertex = [_grid_subspaces(m, limits.grid_radius) for m in n] if max(n) <= 3 else []
+            if per_vertex and prod(map(len, per_vertex)) <= limits.max_grid_tuples:
+                for choice in itertools.product(*per_vertex):
+                    if any(choice):
+                        yield "grid-tuple", self._indices(
+                            (vertex, vec) for vertex, basis in enumerate(choice) for vec in basis)
+        rng = random.Random(limits.seed)
+        for _ in range(limits.prng_samples):
+            seeds = []
+            for vertex, m in enumerate(n):
+                _, vec = clear(
+                    [_PRNG_ENTRIES[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(m)]
+                )
+                if any(vec):
+                    seeds.append((vertex, vec))
+            if seeds:
+                yield "prng", self._indices(seeds)
+
+
+# Every SearchLimits field but the budget, in field order: what a plan
+# depends on.
+_plan_key = attrgetter(*(f.name for f in fields(SearchLimits) if f.name != "budget"))
+
+
+@lru_cache(maxsize=16)
+def _plans(n: DimVector, key: tuple) -> _SeedPlan:
+    return _SeedPlan(n, SearchLimits(0, *key))
+
+
+def _seed_plan(n: DimVector, limits: SearchLimits) -> _SeedPlan:
+    """The plan every search on ``n`` under ``limits`` shares, whatever
+    its budget; the last 16 plans asked for are kept."""
+    return _plans(n, _plan_key(limits))
 
 
 def destabilizer_search(
@@ -577,9 +603,10 @@ def destabilizer_search(
     point = CharacterPoint(theta, rep.n)
     signs = point._cleared[1]
     meter = _BudgetMeter(limits.budget)
-    closures = _SeedClosures(rep, meter)
+    plan = _seed_plan(rep.n, limits)
+    closures = _SeedClosures(rep, meter, plan.seeds)
     counts: dict[str, int] = {}
-    for category, mask in closures.masks(_all_seeds(rep, limits)):
+    for category, mask in closures.masks(plan):
         counts[category] = counts.get(category, 0) + 1
         _, spaces, m = closures.generated(mask)
         if sum(map(mul, signs, m)) > 0:  # positive slope
@@ -622,8 +649,8 @@ def jordan_holder_search(
     if limits.budget <= 0:
         return FiltrationResult(False, reason="zero search budget")
     meter = _BudgetMeter(limits.budget)
-    closures = _SeedClosures(rep, meter)
-    seed_sets = _replay(closures.masks(_all_seeds(rep, limits)))
+    plan = _seed_plan(rep.n, limits)
+    closures = _SeedClosures(rep, meter, plan.seeds)
     current = cur_total = 0  # the current term as a mask, and its total dimension
     steps: list[SubrepWitness] = []
     dims: list[DimVector] = [tuple(0 for _ in rep.n)]
@@ -631,7 +658,7 @@ def jordan_holder_search(
         while cur_total < rep.total_dim:
             best: Optional[int] = None
             best_total = None
-            for _, mask in seed_sets():
+            for _, mask in closures.masks(plan):
                 joined, _, m = closures.generated(mask, base=current)
                 total = sum(m)
                 if total <= cur_total:

@@ -6,11 +6,14 @@ its own seed and stays deterministic.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
 from operator import mul
+from typing import Iterator
 
 from quivermoduli import (
     DoubleQuiverRep,
@@ -20,8 +23,8 @@ from quivermoduli import (
 )
 from quivermoduli.errors import QuiverModuliError, ShapeMismatchError
 from quivermoduli.lattice import LatticeVector, pairing, square
-from quivermoduli.linalg import Mat, RowSpace, shape
-from quivermoduli.representation import ArrowRef, SubrepCheck
+from quivermoduli.linalg import Mat, RowSpace, clear, primitive, shape
+from quivermoduli.representation import ArrowRef, SearchLimits, SubrepCheck
 from quivermoduli.stability import GaussianRational, StabilityFunction
 from quivermoduli.stratum import HyperbolicPair, analyze_stratum
 from quivermoduli.walls import _coefficients, _degree_numerators, _dot
@@ -389,3 +392,135 @@ def stratum_corpus(seed: int = 17, count: int = 10_000) -> tuple[tuple, ...]:
     cases = [*STRATUM_CASES.values(), *(random_stratum_case(rng) for _ in range(count))]
     return tuple((gram, mults, analyze_stratum(basis_decomposition(gram, mults)))
                  for gram, mults in cases)
+
+
+# The seed generators the searches drew from before they shared one
+# ``representation._SeedPlan`` per dimension vector and limits, copied
+# as they were: the oracle for the plan's stream.  Seeds are (vertex,
+# integer vector) pairs, where the plan keeps each vector's direction.
+SeedSet = tuple[str, list[tuple[int, tuple[int, ...]]]]
+
+
+@cache
+def _unit(m: int, k: int) -> tuple[int, ...]:
+    return tuple(1 if c == k else 0 for c in range(m))
+
+
+def _basis_seeds(rep: DoubleQuiverRep) -> Iterator[SeedSet]:
+    for vertex, m in enumerate(rep.n):
+        for k in range(m):
+            yield "basis", [(vertex, _unit(m, k))]
+
+
+def _subset_seeds(
+    rep: DoubleQuiverRep, limits: SearchLimits
+) -> Iterator[SeedSet]:
+    coords = [
+        (vertex, k) for vertex, m in enumerate(rep.n) for k in range(m)
+    ]
+    count = 0
+    for size in range(2, len(coords) + 1):
+        for subset in itertools.combinations(coords, size):
+            if count >= limits.max_subset_seeds:
+                return
+            count += 1
+            yield "subset", [(vertex, _unit(rep.n[vertex], k)) for vertex, k in subset]
+
+
+@cache
+def _grid_directions(dim: int, radius: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive grid vectors up to positive scaling, first nonzero
+    coordinate positive, in deterministic order."""
+    seen = set()
+    out = []
+    for cand in itertools.product(range(-radius, radius + 1), repeat=dim):
+        if all(c == 0 for c in cand):
+            continue
+        lead = next(c for c in cand if c != 0)
+        if lead < 0:
+            cand = tuple(-c for c in cand)
+        cand = primitive(cand)
+        if cand not in seen:
+            seen.add(cand)
+            out.append(cand)
+    return tuple(out)
+
+
+@cache
+def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Distinct subspaces of Q^dim spanned by grid vectors, including
+    the zero and full subspace, ordered by their reduced bases; each is
+    given by that basis with every row cleared to integers."""
+    directions = _grid_directions(dim, radius)
+    seen = set()
+    for size in range(0, dim + 1):
+        for combo in itertools.combinations(directions, size):
+            space = RowSpace(dim)
+            for vec in combo:
+                space._absorb(vec)
+            if space.dim == size:
+                seen.add(space.basis())
+    ordered = sorted(seen, key=lambda basis: (len(basis), basis))
+    return tuple(tuple(clear(row)[1] for row in basis) for basis in ordered)
+
+
+def _grid_seeds(
+    rep: DoubleQuiverRep, limits: SearchLimits
+) -> Iterator[SeedSet]:
+    if rep.total_dim > limits.grid_dim_cap:
+        return
+    for vertex, m in enumerate(rep.n):
+        if m > 4:
+            continue  # direction count grows as 3^m
+        for vec in _grid_directions(m, limits.grid_radius):
+            yield "grid", [(vertex, vec)]
+    if any(m > 3 for m in rep.n):
+        return  # subspace enumeration is only cheap in low vertex dimension
+    per_vertex = [_grid_subspaces(m, limits.grid_radius) for m in rep.n]
+    total = 1
+    for options in per_vertex:
+        total *= len(options)
+    if total > limits.max_grid_tuples:
+        return
+    for choice in itertools.product(*per_vertex):
+        seeds = [
+            (vertex, vec) for vertex, basis in enumerate(choice) for vec in basis
+        ]
+        if seeds:
+            yield "grid-tuple", seeds
+
+
+# The 21 values a PRNG seed entry a/b can take, a in [-3, 3], b in [1, 3].
+_PRNG_ENTRIES = {(a, b): Fraction(a, b) for a in range(-3, 4) for b in range(1, 4)}
+
+
+def _prng_seeds(
+    rep: DoubleQuiverRep, limits: SearchLimits
+) -> Iterator[SeedSet]:
+    rng = random.Random(limits.seed)
+    for _ in range(limits.prng_samples):
+        seeds = []
+        for vertex, m in enumerate(rep.n):
+            _, vec = clear(
+                [_PRNG_ENTRIES[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(m)]
+            )
+            if any(vec):
+                seeds.append((vertex, vec))
+        if seeds:
+            yield "prng", seeds
+
+
+def _all_seeds(rep, limits) -> Iterator[SeedSet]:
+    yield from _basis_seeds(rep)
+    yield from _subset_seeds(rep, limits)
+    yield from _grid_seeds(rep, limits)
+    yield from _prng_seeds(rep, limits)
+
+
+def direction(vec) -> tuple[int, ...]:
+    """The primitive integer vector with first nonzero entry positive
+    that spans the same line as the nonzero integer vector ``vec``."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)

@@ -9,6 +9,10 @@ a digest recorded from the ``Fraction`` closure.  The searches build
 each closure as a sum of interned per-vector closures, one bit each,
 memoised per seed-set mask; that sum is checked against the iterated
 closure ``genutil.reference_closure`` in spaces and in budget charged.
+The seed sets come from one lazily drawn plan shared per dimension
+vector and limits; it is checked against verbatim copies of the seed
+generators the searches used before, and for laziness, sharing and
+concurrent readers.
 """
 
 from __future__ import annotations
@@ -16,13 +20,24 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import orthogonal_character, random_rep, reference_closure
+from genutil import (
+    _all_seeds,
+    _basis_seeds,
+    _prng_seeds,
+    direction,
+    orthogonal_character,
+    random_rep,
+    reference_closure,
+)
 from quivermoduli import (
     DoubleQuiverRep,
     ExtQuiver,
@@ -34,12 +49,12 @@ from quivermoduli import (
 from quivermoduli.errors import BudgetExceededError
 from quivermoduli.linalg import RowSpace, clear
 from quivermoduli.representation import (
-    _all_seeds,
     _BudgetMeter,
     _out_maps,
-    _prng_seeds,
-    _replay,
+    _plans,
     _SeedClosures,
+    _seed_plan,
+    _SeedPlan,
 )
 
 
@@ -224,9 +239,12 @@ def closure_cases(draw):
 
 
 def mask_of(closures, seeds):
-    """The mask ``closures`` gives one seed set."""
-    [(_, mask)] = closures.masks([("seeds", seeds)])
-    return mask
+    """The mask ``closures`` gives one seed set of (vertex, vector)
+    seeds, each entered once in the seed list that ``closures`` numbers;
+    the set is summed as ``_SeedClosures.masks`` sums each set it reads."""
+    table = closures.seeds
+    table.extend(seed for seed in dict.fromkeys(seeds) if seed not in table)
+    return closures._sum(0, map(closures._bit, [table.index(seed) for seed in seeds]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,7 +252,7 @@ def mask_of(closures, seeds):
 def test_sum_of_closures_matches_reference(case, slack):
     rep, base_seeds, seeds = case
     out_maps = _out_maps(rep)
-    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [])
     mask_of(closures, seeds[::-1])  # later sums start from a warm memo
     base, base_spaces = 0, None
     if base_seeds is not None:
@@ -254,7 +272,7 @@ def test_sum_of_closures_matches_reference(case, slack):
         assert [space.basis() for space in base_spaces] == base_bases
 
     def build(meter):
-        fresh = _SeedClosures(rep, meter)
+        fresh = _SeedClosures(rep, meter, [])
         fresh_base = 0 if base_seeds is None else mask_of(fresh, base_seeds)
         fresh.generated(mask_of(fresh, seeds), fresh_base)
 
@@ -313,7 +331,7 @@ def test_space_filled_from_memo_reports_its_own_basis():
     filled from a memoised per-vector closure reports that closure's
     basis; the base it grew from keeps its own."""
     rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ((0, 1, 2),)), (1, 1))
-    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [])
     right = mask_of(closures, [(1, (1,))])
     left, first, _ = closures.generated(mask_of(closures, [(0, (1,))]))
     assert [space.basis() for space in first] == [((Q(1),),), ()]
@@ -338,8 +356,8 @@ def count_of_calls(monkeypatch):
 
 
 def test_each_closure_is_built_once_per_search(monkeypatch):
-    """Neither search iterates the maps twice from one seed, although
-    the filtration passes over its seed sets once per step."""
+    """Neither search iterates the maps twice from one seed direction,
+    although the filtration passes over its seed sets once per step."""
     calls = count_of_calls(monkeypatch)
     rng = random.Random(14)
     steps = 0
@@ -347,7 +365,9 @@ def test_each_closure_is_built_once_per_search(monkeypatch):
         rep = random_rep(rng, max_total_dim=5, grid_entries=True)
         theta = (k % 2 and orthogonal_character(rng, rep.n)) or (Q(0),) * len(rep.n)
         limits = SearchLimits(prng_samples=3)
-        distinct = {seed for _, seeds in _all_seeds(rep, limits) for seed in seeds}
+        distinct = {
+            (vertex, direction(vec)) for _, seeds in _all_seeds(rep, limits)
+            for vertex, vec in seeds}
         for search in (destabilizer_search, jordan_holder_search):
             del calls[:]
             got = search(rep, theta, limits)
@@ -362,10 +382,10 @@ def test_seed_set_stops_at_the_first_seed_that_fills(monkeypatch):
     calls = count_of_calls(monkeypatch)
     quiver = ExtQuiver((0, 0), ((0, 1, 1),))
     rep = DoubleQuiverRep(quiver, (1, 1), (((1,),),), (((1,),),))
-    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [])
     mask = mask_of(closures, [(0, (1,)), (1, (1,)), (0, (2,))])
     assert calls == [(0, (1,))]
-    assert mask == closures.bit_of[(0, (1,))]
+    assert mask == closures.bit_of[closures.seeds.index((0, (1,)))]
     assert closures.sums[mask][1] == [1, 1]
 
 
@@ -402,10 +422,9 @@ def test_one_closure_reached_from_different_seeds_is_one_bit(monkeypatch):
     # vertex 1 by zero maps, so the shared closure is proper.
     quiver = ExtQuiver((0, 0, 0), ((0, 1, 1), (1, 2, 1)))
     rep = DoubleQuiverRep(quiver, (1, 1, 1), (((1,),), ((0,),)), (((1,),), ((0,),)))
-    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [(0, (1,)), (1, (1,))])
     masks = [mask for _, mask in closures.masks([
-        ("basis", [(0, (1,))]), ("basis", [(1, (1,))]),
-        ("subset", [(0, (1,)), (1, (1,))]), ("subset", [(1, (1,)), (0, (1,))]),
+        ("basis", (0,)), ("basis", (1,)), ("subset", (0, 1)), ("subset", (1, 0)),
     ])]
     assert calls == [(0, (1,)), (1, (1,))]
     assert len(closures.parts) == 1 and set(masks) == {1}
@@ -436,42 +455,225 @@ def fraction_prng_seeds(n, limits):
             yield "prng", seeds
 
 
+def expanded(plan, categories=None):
+    """A plan's seed sets, each seed number replaced by its seed."""
+    return [(category, [plan.seeds[k] for k in seeds]) for category, seeds in plan
+            if categories is None or category in categories]
+
+
+def directions(seed_sets):
+    """(vertex, vector) seed sets, each vector replaced by its direction."""
+    return [(category, [(vertex, direction(vec)) for vertex, vec in seeds])
+            for category, seeds in seed_sets]
+
+
 def test_prng_seeds_match_fraction_construction():
     for n in ((1,), (3,), (2, 0, 1), (4, 4), (0, 2, 3, 1)):
         rep = DoubleQuiverRep.zero(ExtQuiver((0,) * len(n), ()), n)
         for seed in range(300):
             limits = SearchLimits(seed=seed, prng_samples=4)
-            assert list(_prng_seeds(rep, limits)) == list(fraction_prng_seeds(n, limits))
+            fraction = list(fraction_prng_seeds(n, limits))
+            assert list(_prng_seeds(rep, limits)) == fraction
+            assert expanded(_seed_plan(n, limits), {"prng"}) == directions(fraction)
 
 
-def test_replay_draws_only_what_its_passes_read():
-    drawn = []
-
-    def seed_sets():
-        for k in range(5):
-            drawn.append(k)
-            yield "basis", [(0, (k,))]
-
-    replay = _replay(seed_sets())
-    first = list(itertools.islice(replay(), 2))
-    assert drawn == [0, 1]
-    assert list(replay()) == [("basis", [(0, (k,))]) for k in range(5)]
-    assert list(itertools.islice(replay(), 2)) == first
-    assert list(replay()) == list(replay())
-    assert drawn == [0, 1, 2, 3, 4]
+# Dimension vectors with zero entries and vertex dimensions up to 4.
+PLAN_DIMENSIONS = ((1,), (4,), (0, 2), (3, 0, 1), (1, 1, 1), (2, 2), (0, 1, 0, 4), (3, 3))
 
 
-def test_filtration_draws_its_seed_sets_once(monkeypatch):
+def test_seed_plan_expands_to_the_seed_generators():
+    """Every plan lists what the verbatim copies of the former seed
+    generators yield, in category, order and count, each vector
+    replaced by its direction; its seeds are distinct directions with
+    the standard basis vectors first."""
+    for n in PLAN_DIMENSIONS:
+        rep = DoubleQuiverRep.zero(ExtQuiver((0,) * len(n), ()), n)
+        for limits in LIMITS:
+            for seed in range(51):
+                limits = replace(limits, seed=seed)
+                plan = _seed_plan(n, limits)
+                assert expanded(plan) == directions(_all_seeds(rep, limits))
+                assert plan.seeds[:sum(n)] == [seed for _, [seed] in _basis_seeds(rep)]
+                assert len(set(plan.seeds)) == len(plan.seeds)
+                assert all(direction(vec) == vec for _, vec in plan.seeds)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Every seed set drawn while the test runs, as (plan, seed set),
+    starting from an empty plan cache."""
+    record = []
+    draw = _SeedPlan._draw
+
+    def counted(self):
+        for seed_set in draw(self):
+            record.append((self, seed_set))
+            yield seed_set
+
+    monkeypatch.setattr(_SeedPlan, "_draw", counted)
+    _plans.cache_clear()
+    yield record
+    _plans.cache_clear()
+
+
+def rep_on(rng, quiver, n):
+    """A ``random_rep`` of ``quiver`` with dimension vector ``n``."""
+    while True:
+        rep = random_rep(rng, quiver)
+        if rep.n == n:
+            return rep
+
+
+def test_searches_on_one_dimension_vector_share_one_plan(drawn):
+    """Once one search has read a plan to its end, searches on other
+    representations of the same n, with other characters and budgets,
+    read the same plan and draw nothing new."""
+    rng = random.Random(3)
+    quiver = ExtQuiver((1, 0), ((0, 1, 1),))
+    n = (2, 1)
+    limits = SearchLimits(prng_samples=20)
+    first = rep_on(rng, quiver, n)
+    # No seed set has positive slope under theta = 0, so all are read.
+    assert not destabilizer_search(first, (0, 0), limits).found
+    plan = _seed_plan(n, limits)
+    assert [seed_set for _, seed_set in drawn] == plan.sets
+    assert len(plan.sets) == len(list(_all_seeds(first, limits)))
+    for budget in (limits.budget, 3, 10**6):
+        other = replace(limits, budget=budget)
+        rep, theta = rep_on(rng, quiver, n), orthogonal_character(rng, n)
+        destabilizer_outcome(rep, theta, other)
+        jh_outcome(rep, theta, other)
+        assert _seed_plan(n, other) is plan
+    assert len(drawn) == len(plan.sets)
+
+
+def test_early_witness_draws_only_the_sets_it_read(drawn, monkeypatch):
+    reads = []
+    generated = _SeedClosures.generated
+    monkeypatch.setattr(
+        _SeedClosures, "generated",
+        lambda self, mask, base=0: reads.append(mask) or generated(self, mask, base))
+    rep = DoubleQuiverRep.zero(ExtQuiver((0, 0, 0), ()), (1, 1, 1))
+    got = destabilizer_search(rep, (-1, -1, 2))
+    assert got.found and got.witness.dims() == (0, 0, 1)
+    assert len(drawn) == len(reads) == 3
+
+
+def test_planted_search_draws_no_more_than_the_generators(drawn):
+    """On a plan of 40 basis, 4096 subset and 4096 PRNG seed sets, a
+    witness closed from the 31st basis vector ends the draw where the
+    seed generators stopped."""
+    n = (1,) * 40
+    # A chain 0 -> 1 -> ... -> 39 of identities: the closure of basis
+    # vector i is vertices i..39, of positive slope exactly for i >= 30.
+    quiver = ExtQuiver((0,) * 40, tuple((i, i + 1, 1) for i in range(39)))
+    one, zero = ((Q(1),),), ((Q(0),),)
+    rep = DoubleQuiverRep(quiver, n, (one,) * 39, (zero,) * 39)
+    theta = tuple(-1 if i == 29 else 1 if i == 39 else 0 for i in range(40))
+    limits = SearchLimits(prng_samples=4096)
+    out_maps = _out_maps(rep)
+    generators = next(
+        k + 1 for k, (_, seeds) in enumerate(_all_seeds(rep, limits))
+        if sum(t * space.dim for t, space in zip(
+            theta, reference_closure(out_maps, n, seeds, _BudgetMeter(UNMETERED)))) > 0)
+    got = destabilizer_search(rep, theta, limits)
+    assert got.found and sum(got.witness.dims()) == 10
+    assert len(drawn) <= generators == 31
+
+
+def test_replay_draws_only_what_its_passes_read(drawn):
+    """Passes of one search over its plan re-read the masks of the sets
+    read before and draw a set only when they run past them."""
+    rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ((0, 1, 1),)), (1, 2))
+    plan = _seed_plan(rep.n, SearchLimits(prng_samples=3))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), plan.seeds)
+    first = list(itertools.islice(closures.masks(plan), 2))
+    assert len(drawn) == len(closures.set_masks) == 2
+    full = list(closures.masks(plan))
+    assert len(full) == len(drawn) == len(plan.sets) == len(list(_all_seeds(rep, plan.limits)))
+    assert list(itertools.islice(closures.masks(plan), 2)) == first
+    assert list(closures.masks(plan)) == full
+    assert [seed_set for _, seed_set in drawn] == plan.sets
+
+
+def test_filtration_draws_its_seed_sets_once(drawn):
     """Every filtration step replays one draw of the seed sets rather
     than building the seeds (and redrawing the PRNG ones) afresh."""
-    calls = []
-
-    def counted(rep, limits):
-        calls.append(limits)
-        return _all_seeds(rep, limits)
-
-    monkeypatch.setattr(representation, "_all_seeds", counted)
     rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ((0, 1, 2),)), (2, 1))
     got = jordan_holder_search(rep, (0, 0))
     assert got.complete and got.graded_dims == ((1, 0), (1, 0), (0, 1))
-    assert len(calls) == 1
+    plan = _seed_plan(rep.n, SearchLimits())
+    assert [seed_set for _, seed_set in drawn] == plan.sets
+    assert {id(drawn_by) for drawn_by, _ in drawn} == {id(plan)}
+
+
+def test_a_draw_that_raises_leaves_the_plan_whole(drawn, monkeypatch):
+    """A draw that raises once leaves a plan that the next search reads
+    in full; one that raises every time raises in every search."""
+    rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ()), (1, 1))
+    limits = SearchLimits(prng_samples=5)
+    expected = destabilizer_search(rep, (0, 0), limits)
+    _plans.cache_clear()
+    grid = representation._grid_directions
+    failures = [RuntimeError("draw interrupted")]
+
+    def flaky(dim, radius):
+        if failures:
+            raise failures.pop()
+        return grid(dim, radius)
+
+    monkeypatch.setattr(representation, "_grid_directions", flaky)
+    with pytest.raises(RuntimeError):
+        destabilizer_search(rep, (0, 0), limits)
+    assert destabilizer_search(rep, (0, 0), limits) == expected
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            destabilizer_search(rep, (0, 0), replace(limits, prng_samples="five"))
+
+
+def test_concurrent_searches_on_one_plan_match_one_thread():
+    """Four threads, more than the cores of a small machine, running
+    both searches on one (n, limits) while its plan is being drawn
+    neither raise nor answer differently from one thread."""
+    rng = random.Random(21)
+    quiver = ExtQuiver((1, 0, 0), ((0, 1, 1), (0, 2, 1)))
+    n = (2, 1, 1)
+    limits = SearchLimits(prng_samples=1500)
+    cases = []
+    for _ in range(3):
+        rep = rep_on(rng, quiver, n)
+        cases += [(rep, (Q(0),) * 3), (rep, orthogonal_character(rng, n))]
+
+    def run(order):
+        return [(destabilizer_outcome(rep, theta, limits), jh_outcome(rep, theta, limits))
+                for rep, theta in order]
+
+    expected = run(cases)
+    orders = (cases, cases[::-1]) * 2
+    for _ in range(3):  # each round races on a fresh plan
+        results, errors = {}, []
+        barrier = threading.Barrier(len(orders))
+
+        def worker(k):
+            try:
+                barrier.wait(timeout=60)
+                results[k] = run(orders[k])
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(orders))]
+        interval = sys.getswitchinterval()
+        _plans.cache_clear()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            _plans.cache_clear()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == {k: run_order for k, run_order in enumerate(
+            [expected, expected[::-1]] * 2)}

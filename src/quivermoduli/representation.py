@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 import random
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from math import lcm, prod
-from operator import attrgetter, mul
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -241,7 +241,8 @@ class SearchLimits:
     per-vector closures of its own seed set.  The other fields fix the
     seed sets, which every search on one dimension vector under equal
     limits, whatever its budget, reads from one shared ``_SeedPlan``
-    (see there for the categories).
+    (see there for the categories).  Every field must be an ``int`` (a
+    ``bool`` is not one); anything else raises ``TypeError``.
     """
 
     budget: int = DEFAULT_SEARCH_BUDGET
@@ -251,6 +252,16 @@ class SearchLimits:
     grid_radius: int = 1
     grid_dim_cap: int = 8
     max_grid_tuples: int = 1024
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise TypeError(f"SearchLimits.{name} must be an int, not {value!r}")
+
+    @cached_property
+    def _unbudgeted(self) -> SearchLimits:
+        """These limits with budget 0, built once: their plan's key."""
+        return replace(self, budget=0)
 
 
 @dataclass(frozen=True)
@@ -559,29 +570,21 @@ class _SeedPlan:
         for _ in range(limits.prng_samples):
             seeds = []
             for vertex, m in enumerate(n):
-                _, vec = clear(
-                    [_PRNG_ENTRIES[rng.randint(-3, 3), rng.randint(1, 3)] for _ in range(m)]
-                )
+                _, vec = clear([_PRNG_ENTRIES[rng.randint(-3, 3), rng.randint(1, 3)]
+                                for _ in range(m)])
                 if any(vec):
                     seeds.append((vertex, vec))
             if seeds:
                 yield "prng", self._indices(seeds)
 
 
-# Every SearchLimits field but the budget, in field order: what a plan
-# depends on.
-_plan_key = attrgetter(*(f.name for f in fields(SearchLimits) if f.name != "budget"))
-
-
-@lru_cache(maxsize=16)
-def _plans(n: DimVector, key: tuple) -> _SeedPlan:
-    return _SeedPlan(n, SearchLimits(0, *key))
+_plans = lru_cache(maxsize=16)(_SeedPlan)
 
 
 def _seed_plan(n: DimVector, limits: SearchLimits) -> _SeedPlan:
     """The plan every search on ``n`` under ``limits`` shares, whatever
     its budget; the last 16 plans asked for are kept."""
-    return _plans(n, _plan_key(limits))
+    return _plans(n, limits._unbudgeted)
 
 
 def destabilizer_search(

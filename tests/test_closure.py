@@ -626,9 +626,30 @@ def test_a_draw_that_raises_leaves_the_plan_whole(drawn, monkeypatch):
     with pytest.raises(RuntimeError):
         destabilizer_search(rep, (0, 0), limits)
     assert destabilizer_search(rep, (0, 0), limits) == expected
+    _plans.cache_clear()
+
+    def broken(dim, radius):
+        raise RuntimeError("draw broken")
+
+    monkeypatch.setattr(representation, "_grid_directions", broken)
     for _ in range(2):
-        with pytest.raises(TypeError):
-            destabilizer_search(rep, (0, 0), replace(limits, prng_samples="five"))
+        with pytest.raises(RuntimeError, match="draw broken"):
+            destabilizer_search(rep, (0, 0), limits)
+
+
+@pytest.mark.parametrize("bad", [8.0, True, "8", None])
+def test_search_limits_take_only_ints(drawn, bad):
+    """A limit that is not an int is refused when the limits are built,
+    whether or not a search with equal int limits has run before."""
+    rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ()), (1, 1))
+    for field in ("budget", "max_subset_seeds", "prng_samples", "seed",
+                  "grid_radius", "grid_dim_cap", "max_grid_tuples"):
+        with pytest.raises(TypeError, match=f"SearchLimits.{field} must be an int"):
+            SearchLimits(**{field: bad})
+        limits = SearchLimits(**{field: 8})
+        assert not destabilizer_search(rep, (0, 0), limits).found
+        with pytest.raises(TypeError, match=f"SearchLimits.{field} must be an int"):
+            replace(limits, **{field: bad})
 
 
 def test_concurrent_searches_on_one_plan_match_one_thread():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 from .errors import HomNonvanishingError, MalformedSummandError
-from .lattice import GramLattice, LatticeVector, pairing, square
+from .lattice import GramLattice, LatticeVector
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class PolystableDecomposition:
         if not summands:
             raise MalformedSummandError("decomposition needs at least one summand")
         lat = summands[0][0].lattice
-        seen = set()
+        seen, images = set(), []
         for v, n in summands:
             if v.lattice != lat:
                 raise MalformedSummandError("summands live in different lattices")
@@ -35,17 +36,25 @@ class PolystableDecomposition:
             if v.coords in seen:
                 raise MalformedSummandError(f"duplicate summand class {v.coords}")
             seen.add(v.coords)
-            sq = square(v)
+            images.append([sum(map(mul, row, v.coords)) for row in lat.gram])  # G.v
+            sq = sum(map(mul, v.coords, images[-1]))
             if sq < -2 or sq % 2 != 0:
                 raise MalformedSummandError(
                     f"summand {v.coords} has square {sq}; need an even square >= -2"
                 )
-        for i in range(len(summands)):
-            for j in range(i + 1, len(summands)):
-                p = pairing(summands[i][0], summands[j][0])
-                if p < 0:
+        # classes, multiplicities and the summand Gram _gram[i][j] =
+        # <v_i, v_j> are set outside the fields, which alone make up
+        # __eq__, __hash__ and __repr__.
+        classes = tuple(v for v, _ in summands)
+        gram = tuple(tuple(sum(map(mul, v.coords, g)) for g in images) for v in classes)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "multiplicities", tuple(n for _, n in summands))
+        object.__setattr__(self, "_gram", gram)
+        for i, row in enumerate(gram):
+            for j in range(i + 1, len(gram)):
+                if row[j] < 0:
                     raise HomNonvanishingError(
-                        f"summands {i} and {j} pair to {p} < 0"
+                        f"summands {i} and {j} pair to {row[j]} < 0"
                     )
 
     @classmethod
@@ -60,14 +69,6 @@ class PolystableDecomposition:
     def size(self) -> int:
         return len(self.summands)
 
-    @property
-    def classes(self) -> tuple[LatticeVector, ...]:
-        return tuple(v for v, _ in self.summands)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(n for _, n in self.summands)
-
     def total(self) -> LatticeVector:
         return self.combination(self.multiplicities)
 
@@ -78,7 +79,5 @@ class PolystableDecomposition:
             raise MalformedSummandError(
                 f"{len(coeffs)} coefficients for {self.size} summands"
             )
-        out = self.lattice.zero()
-        for a, (v, _) in zip(coeffs, self.summands):
-            out = out + a * v
-        return out
+        columns = zip(*(v.coords for v in self.classes))
+        return self.lattice.vector(sum(map(mul, coeffs, col)) for col in columns)

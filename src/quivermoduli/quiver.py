@@ -119,6 +119,14 @@ class ExtQuiver:
         return tuple(sum(1 << j for j in nbrs) for nbrs in self._adjacency)
 
     @cached_property
+    def _terms(self) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+        # The nonzero terms (i, j, c), i <= j, of the quadratic form, each
+        # with the bitmask of its vertices.
+        d = self._neg_cartan
+        return tuple(((1 << i) | (1 << j), (i, j, d[i][j] if i == j else 2 * d[i][j]))
+                     for i in range(len(d)) for j in range(i, len(d)) if d[i][j])
+
+    @cached_property
     def _arrow_list(self) -> tuple[Arrow, ...]:
         out = []
         for i, g in enumerate(self.loops):
@@ -156,18 +164,12 @@ def build_ext_quiver(decomp: PolystableDecomposition) -> ExtQuiver:
     the self-extension space of the polystable object summand by
     summand, which is what pins the formulas down.
     """
-    loops = []
-    for v, _ in decomp.summands:
-        sq = square(v)
-        # PolystableDecomposition already rejects sq < -2 or odd sq.
-        loops.append((sq + 2) // 2)
-    arrows = []
-    for i in range(decomp.size):
-        for j in range(i + 1, decomp.size):
-            m = pairing(decomp.summands[i][0], decomp.summands[j][0])
-            if m > 0:
-                arrows.append((i, j, m))
-    return ExtQuiver(tuple(loops), tuple(arrows))
+    gram = decomp._gram
+    # PolystableDecomposition already rejects odd squares and squares < -2.
+    loops = tuple((row[i] + 2) // 2 for i, row in enumerate(gram))
+    arrows = tuple((i, j, m) for i, row in enumerate(gram)
+                   for j, m in enumerate(row) if j > i and m > 0)
+    return ExtQuiver(loops, arrows)
 
 
 def _check_length(q: ExtQuiver, n: Iterable[int]) -> DimVector:
@@ -185,19 +187,20 @@ def _support(q: ExtQuiver, mask: int) -> tuple[bool, tuple[tuple[int, int, int],
     them (c = D_ii, or 2 D_ij off the diagonal); cached per quiver."""
     known = q._supports
     if mask not in known:
-        verts = [i for i in range(q.num_vertices) if mask >> i & 1]
-        # Grow the lowest vertex by its neighbours inside the mask.
+        # Grow the lowest vertex inside the mask, expanding only the
+        # vertices reached in the last step.
         nbrs = q._neighbour_masks
-        reached, grown = 0, mask & -mask
-        while grown != reached:
-            reached = grown
-            for i in verts:
-                if reached >> i & 1:
-                    grown |= nbrs[i] & mask
-        d = q.neg_cartan()
+        reached = frontier = mask & -mask
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & mask & ~reached
+            reached |= frontier
         known[mask] = bool(mask) and reached == mask, tuple(
-            (i, j, d[i][j] if i == j else 2 * d[i][j])
-            for i in verts for j in verts if i <= j and d[i][j]
+            term for pair, term in q._terms if pair & mask == pair
         )
     return known[mask]
 
@@ -210,7 +213,8 @@ def quadratic_form(q: ExtQuiver, n: Iterable[int]) -> int:
 
 
 def expected_dimension(q: ExtQuiver, n: Iterable[int]) -> int:
-    """Dimension of the local quiver variety: quadratic_form + 2."""
+    """quadratic_form(n) + 2 = 2 p(n): dim M_0(Q, n) where the moment
+    map is flat at n (Crawley-Boevey 2001); off that locus they can differ."""
     return quadratic_form(q, n) + 2
 
 
@@ -336,9 +340,13 @@ def pairwise_merge_check(v_i, v_j) -> bool:
     """Whether two summand classes merge into a class with strictly
     superadditive parameter count: (v_i+v_j)^2 + 2 > (v_i^2+2) + (v_j^2+2),
     which reduces to <v_i, v_j> >= 2.  Both sides are evaluated."""
-    lhs = square(v_i + v_j) + 2
-    rhs = (square(v_i) + 2) + (square(v_j) + 2)
-    result = lhs > rhs
-    if result != (pairing(v_i, v_j) >= 2):
+    return _merge_inequality(square(v_i + v_j), square(v_i), square(v_j), pairing(v_i, v_j))
+
+
+def _merge_inequality(sum_square: int, square_i: int, square_j: int, pair: int) -> bool:
+    """The merge inequality on the squares of v_i + v_j, v_i and v_j,
+    checked against <v_i, v_j> >= 2."""
+    result = sum_square + 2 > (square_i + 2) + (square_j + 2)
+    if result != (pair >= 2):
         raise InternalInvariantError("merge inequality disagrees with <v_i, v_j> >= 2")
     return result

@@ -36,8 +36,8 @@ from .lattice import (
 )
 from .quiver import (
     DEFAULT_ROOT_BUDGET,
+    _merge_inequality,
     build_ext_quiver,
-    pairwise_merge_check,
     simple_rep_exists,
 )
 from .stability import StabilityFunction, _check_normalized
@@ -223,13 +223,15 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
     classes = decomp.classes
     mults = decomp.multiplicities
     s = decomp.size
-    squares = [square(v) for v in classes]
-    pair = [[pairing(classes[i], classes[j]) for j in range(s)] for i in range(s)]
+    pair = decomp._gram
+    squares = [pair[i][i] for i in range(s)]
 
-    # (1) merge test: a pair that merges superadditively deforms.
+    # (1) merge test: a pair that merges superadditively deforms.  The
+    # square of v_i + v_j is computed afresh and checked against the Gram.
     for i in range(s):
         for j in range(i + 1, s):
-            if pairwise_merge_check(classes[i], classes[j]):
+            sum_square = square(classes[i] + classes[j])
+            if _merge_inequality(sum_square, squares[i], squares[j], pair[i][j]):
                 trace.append(
                     _trace("merge", "stable-deformation", pair=[i, j],
                            pairing=pair[i][j])
@@ -379,7 +381,7 @@ def _analyze(decomp: PolystableDecomposition) -> StratumReport:
     )
 
 
-def _graph_genus(vertices: Sequence[int], pair: list[list[int]]) -> int:
+def _graph_genus(vertices: Sequence[int], pair: Sequence[Sequence[int]]) -> int:
     """First Betti number 1 - |V| + |E| with edges counted with
     pairing multiplicity, for a connected vertex set."""
     verts = list(vertices)

@@ -21,7 +21,12 @@ from quivermoduli import (
     GramLattice,
     PolystableDecomposition,
 )
-from quivermoduli.errors import QuiverModuliError, ShapeMismatchError
+from quivermoduli.errors import (
+    HomNonvanishingError,
+    MalformedSummandError,
+    QuiverModuliError,
+    ShapeMismatchError,
+)
 from quivermoduli.lattice import LatticeVector, pairing, square
 from quivermoduli.linalg import Mat, RowSpace, clear, primitive, shape
 from quivermoduli.representation import ArrowRef, SearchLimits, SubrepCheck
@@ -392,6 +397,103 @@ def stratum_corpus(seed: int = 17, count: int = 10_000) -> tuple[tuple, ...]:
     cases = [*STRATUM_CASES.values(), *(random_stratum_case(rng) for _ in range(count))]
     return tuple((gram, mults, analyze_stratum(basis_decomposition(gram, mults)))
                  for gram, mults in cases)
+
+
+# The summand validation, ext-quiver, combination and support table as
+# they were before the decomposition owned one summand Gram, copied as
+# they were: the oracles for PolystableDecomposition._gram, its error
+# order, build_ext_quiver, combination and quiver._support.
+def reference_validate(summands) -> None:
+    """PolystableDecomposition's checks, one pairing call per entry."""
+    summands = tuple((v, int(n)) for v, n in summands)
+    if not summands:
+        raise MalformedSummandError("decomposition needs at least one summand")
+    lat = summands[0][0].lattice
+    seen = set()
+    for v, n in summands:
+        if v.lattice != lat:
+            raise MalformedSummandError("summands live in different lattices")
+        if n < 1:
+            raise MalformedSummandError(f"multiplicity {n} is not positive")
+        if v.coords in seen:
+            raise MalformedSummandError(f"duplicate summand class {v.coords}")
+        seen.add(v.coords)
+        sq = square(v)
+        if sq < -2 or sq % 2 != 0:
+            raise MalformedSummandError(
+                f"summand {v.coords} has square {sq}; need an even square >= -2"
+            )
+    for i in range(len(summands)):
+        for j in range(i + 1, len(summands)):
+            p = pairing(summands[i][0], summands[j][0])
+            if p < 0:
+                raise HomNonvanishingError(
+                    f"summands {i} and {j} pair to {p} < 0"
+                )
+
+
+def reference_ext_quiver(decomp: PolystableDecomposition) -> ExtQuiver:
+    loops = []
+    for v, _ in decomp.summands:
+        sq = square(v)
+        # PolystableDecomposition already rejects sq < -2 or odd sq.
+        loops.append((sq + 2) // 2)
+    arrows = []
+    for i in range(decomp.size):
+        for j in range(i + 1, decomp.size):
+            m = pairing(decomp.summands[i][0], decomp.summands[j][0])
+            if m > 0:
+                arrows.append((i, j, m))
+    return ExtQuiver(tuple(loops), tuple(arrows))
+
+
+def reference_combination(decomp: PolystableDecomposition, coeffs) -> LatticeVector:
+    coeffs = tuple(int(a) for a in coeffs)
+    if len(coeffs) != decomp.size:
+        raise MalformedSummandError(
+            f"{len(coeffs)} coefficients for {decomp.size} summands"
+        )
+    out = decomp.lattice.zero()
+    for a, (v, _) in zip(coeffs, decomp.summands):
+        out = out + a * v
+    return out
+
+
+def reference_support(q: ExtQuiver, mask: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
+    """The per-mask scan over vertex pairs, without the per-quiver cache."""
+    verts = [i for i in range(q.num_vertices) if mask >> i & 1]
+    # Grow the lowest vertex by its neighbours inside the mask.
+    nbrs = q._neighbour_masks
+    reached, grown = 0, mask & -mask
+    while grown != reached:
+        reached = grown
+        for i in verts:
+            if reached >> i & 1:
+                grown |= nbrs[i] & mask
+    d = q.neg_cartan()
+    return bool(mask) and reached == mask, tuple(
+        (i, j, d[i][j] if i == j else 2 * d[i][j])
+        for i in verts for j in verts if i <= j and d[i][j]
+    )
+
+
+def random_gram_decomposition(rng: random.Random, size: int) -> PolystableDecomposition:
+    """Rejection-sample a decomposition of ``size`` summands whose
+    classes are small integer vectors, not basis classes, in an even
+    lattice of rank 1-5 with mostly nonnegative entries."""
+    while True:
+        r = rng.randint(1, 5)
+        gram = [[0] * r for _ in range(r)]
+        for i in range(r):
+            gram[i][i] = rng.choice((-2, 0, 2, 4, 6))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.choice((-1, 0, 0, 1, 1, 2))
+        lat = GramLattice(tuple(map(tuple, gram)), even=True)
+        summands = [(random_vector(rng, lat, 1), rng.randint(1, 3)) for _ in range(size)]
+        try:
+            return PolystableDecomposition.of(summands)
+        except QuiverModuliError:
+            continue
 
 
 # The seed generators the searches drew from before they shared one

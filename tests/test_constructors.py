@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quivermoduli import CharacterPoint, GramLattice, StabilityFunction
+from quivermoduli import (
+    CharacterPoint,
+    GramLattice,
+    PolystableDecomposition,
+    StabilityFunction,
+)
 from quivermoduli.lattice import LatticeVector
 from quivermoduli.stability import GaussianRational as G
 
@@ -151,6 +156,18 @@ def test_cleared_is_set_at_construction_outside_the_fields(obj):
     assert "_cleared" not in {f.name for f in dataclasses.fields(obj)}
     assert "_cleared" in vars(obj)
     assert "_cleared" not in repr(obj)
+
+
+def test_decomposition_sets_its_gram_and_summand_tuples_outside_the_fields():
+    lat = GramLattice(((2, 1), (1, -2)), even=True)
+    dec = PolystableDecomposition.of(iter([(lat.vector((1, 0)), 2), (lat.vector((0, 1)), 1)]))
+    assert [f.name for f in dataclasses.fields(dec)] == ["summands"]
+    assert vars(dec)["_gram"] == ((2, 1), (1, -2))
+    assert vars(dec)["classes"] == (lat.vector((1, 0)), lat.vector((0, 1)))
+    assert vars(dec)["multiplicities"] == (2, 1)
+    assert repr(dec) == f"PolystableDecomposition(summands={dec.summands!r})"
+    again = PolystableDecomposition(dec.summands)
+    assert dec == again and hash(dec) == hash(again)
 
 
 def test_stability_function_stores_its_values_as_a_tuple():

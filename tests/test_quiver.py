@@ -14,6 +14,7 @@ from quivermoduli import (
     expected_dimension,
     is_positive_root,
     num_parameters,
+    pairing,
     pairwise_merge_check,
     quadratic_form,
     simple_rep_exists,
@@ -26,7 +27,18 @@ from quivermoduli.errors import (
     MalformedSummandError,
 )
 
-from genutil import random_decomposition
+from quivermoduli.quiver import _support
+
+from genutil import (
+    basis_decomposition,
+    random_decomposition,
+    random_gram_decomposition,
+    reference_combination,
+    reference_ext_quiver,
+    reference_support,
+    reference_validate,
+    stratum_corpus,
+)
 
 AFFINE_A1 = ExtQuiver((0, 0), ((0, 1, 2),))
 TWO_LOOPS = ExtQuiver((2,), ())
@@ -75,6 +87,144 @@ class TestBuildExtQuiver:
             PolystableDecomposition.of(
                 [(lat.vector((1, 0)), 1), (lat.vector((0, 1)), 1)]
             )
+
+
+def gram_decompositions():
+    """The stratum corpus as decompositions, then 30 seeded ones of each
+    size 1-5 whose classes are not basis classes."""
+    rng = random.Random(23)
+    yield from (basis_decomposition(gram, mults) for gram, mults, _ in stratum_corpus())
+    for size in range(1, 6):
+        for _ in range(30):
+            yield random_gram_decomposition(rng, size)
+
+
+def outcome(build, summands):
+    """None when ``build`` accepts the summands, else the exception's
+    type and message."""
+    try:
+        build(summands)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestSummandGram:
+    def test_gram_is_the_pairing_of_the_classes(self):
+        sizes = set()
+        for dec in gram_decompositions():
+            sizes.add(dec.size)
+            assert dec._gram == tuple(
+                tuple(pairing(a, b) for b in dec.classes) for a in dec.classes
+            )
+            assert dec.classes == tuple(v for v, _ in dec.summands)
+            assert dec.multiplicities == tuple(n for _, n in dec.summands)
+            assert build_ext_quiver(dec) == reference_ext_quiver(dec)
+        assert sizes == {1, 2, 3, 4, 5}
+
+    def test_combination_matches_scalar_multiples(self):
+        rng = random.Random(29)
+        for dec in gram_decompositions():
+            coeffs = [rng.randint(-3, 3) for _ in range(dec.size)]
+            assert dec.combination(coeffs) == reference_combination(dec, coeffs)
+            assert dec.total() == reference_combination(dec, dec.multiplicities)
+        dec = spherical_pair(1)
+        for coeffs in ((1,), (1, 2, 3)):
+            expected = outcome(lambda c: reference_combination(dec, c), coeffs)
+            assert outcome(dec.combination, coeffs) == expected
+            assert expected[0] is MalformedSummandError
+
+    @pytest.mark.parametrize("faults, expected", [
+        ([((1, 0), 1), ((0, 1), 0)], "summand (1, 0) has square -4; need an even square >= -2"),
+        ([((1, 0), 0), ((0, 1), 1)], "multiplicity 0 is not positive"),
+        ([((1, 0), 1), ((1, 0), 1)], "summand (1, 0) has square -4; need an even square >= -2"),
+        ([((0, 1), 1), ((0, 1), 1)], "duplicate summand class (0, 1)"),
+        ([((0, 1), 1), ((1, 1), 1), ((1, 0), -1)], "summand (1, 1) has square -4; need an even square >= -2"),
+        ([((0, 1), 1), ((0, 2), 1), ((1, 0), 2)], "summand (1, 0) has square -4; need an even square >= -2"),
+    ])
+    def test_the_first_fault_in_summand_order_is_reported(self, faults, expected):
+        # Square -4 at (1, 0), square 2 at (0, 1), and they pair to -1.
+        lat = GramLattice(((-4, -1), (-1, 2)))
+        summands = [(lat.vector(c), n) for c, n in faults]
+        assert outcome(PolystableDecomposition.of, summands) == (MalformedSummandError, expected)
+        assert outcome(reference_validate, summands) == (MalformedSummandError, expected)
+
+    def test_negative_pairings_are_reported_after_every_summand_check(self):
+        lat = GramLattice(((-2, -1, 0), (-1, -2, 0), (0, 0, 0)))
+        summands = [(lat.vector((1, 0, 0)), 1), (lat.vector((0, 1, 0)), 1)]
+        expected = (HomNonvanishingError, "summands 0 and 1 pair to -1 < 0")
+        assert outcome(PolystableDecomposition.of, summands) == expected
+        summands.append((lat.vector((0, 0, 1)), 0))
+        expected = (MalformedSummandError, "multiplicity 0 is not positive")
+        assert outcome(PolystableDecomposition.of, summands) == expected
+
+    def test_faults_match_the_reference_validation(self):
+        # Random summand lists with several faults at once: odd and too
+        # negative squares, multiplicities below 1, duplicates, a class
+        # of another lattice and negative pairings.
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(3000):
+            r = rng.randint(1, 3)
+            gram = [[0] * r for _ in range(r)]
+            for i in range(r):
+                gram[i][i] = rng.randint(-5, 4)
+                for j in range(i):
+                    gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+            lat = GramLattice(tuple(map(tuple, gram)))
+            other = GramLattice(tuple(tuple(x + (i == j) for j, x in enumerate(row))
+                                      for i, row in enumerate(lat.gram)))
+            summands = []
+            for _ in range(rng.randint(0, 4)):
+                if summands and rng.random() < 0.15:
+                    v = rng.choice(summands)[0]
+                else:
+                    v = (other if rng.random() < 0.1 else lat).vector(
+                        rng.randint(-1, 1) for _ in range(r))
+                summands.append((v, rng.choice((-1, 0, 1, 1, 2))))
+            expected = outcome(reference_validate, summands)
+            assert outcome(PolystableDecomposition.of, summands) == expected
+            kinds.add(expected if expected is None else (expected[0], expected[1].split()[0]))
+        assert kinds == {
+            None,
+            (HomNonvanishingError, "summands"),
+            (MalformedSummandError, "decomposition"),
+            (MalformedSummandError, "summands"),
+            (MalformedSummandError, "multiplicity"),
+            (MalformedSummandError, "duplicate"),
+            (MalformedSummandError, "summand"),
+        }
+
+
+def support_quivers():
+    """Seeded quivers of 1-8 vertices: random ones, and per size one
+    without arrows or loops, one with loops only, and one made of two
+    blocks with no arrow between them."""
+    rng = random.Random(37)
+    for s in range(1, 9):
+        yield ExtQuiver((0,) * s, ())
+        yield ExtQuiver(tuple(rng.randint(1, 2) for _ in range(s)), ())
+        cut = rng.randint(1, s)
+        yield ExtQuiver(tuple(rng.randint(0, 2) for _ in range(s)), tuple(
+            (i, j, rng.randint(1, 2)) for i in range(s) for j in range(i + 1, s)
+            if (i < cut) == (j < cut) and rng.random() < 0.5))
+        for _ in range(3):
+            yield ExtQuiver(tuple(rng.randint(0, 2) for _ in range(s)), tuple(
+                (i, j, rng.randint(1, 3)) for i in range(s) for j in range(i + 1, s)
+                if rng.random() < 0.4))
+
+
+class TestSupportTable:
+    def test_every_mask_matches_components_and_the_term_scan(self):
+        for q in support_quivers():
+            s = q.num_vertices
+            for mask in range(1 << s):
+                verts = [i for i in range(s) if mask >> i & 1]
+                connected, terms = _support(q, mask)
+                assert (connected, terms) == reference_support(q, mask)
+                assert connected == (len(q.components(verts)) == 1)
+                assert _support(q, mask) is _support(q, mask)
+        assert _support(ExtQuiver((1,), ()), 0) == (False, ())
 
 
 class TestExtQuiverCaches:

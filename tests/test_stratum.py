@@ -16,11 +16,16 @@ from quivermoduli import (
     analyze_stratum,
     detect_totally_semistable,
     pairing,
+    pairwise_merge_check,
     product_shape,
     square,
     stable_deformation_exists,
 )
-from quivermoduli.errors import LatticeMismatchError, NormalizationError
+from quivermoduli.errors import (
+    InternalInvariantError,
+    LatticeMismatchError,
+    NormalizationError,
+)
 from quivermoduli.scenario import to_wire
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stratum import (
@@ -482,6 +487,25 @@ class TestStableDeformationBridge:
                     [(dec.classes[i], 1), (dec.classes[j], 1)]
                 )
                 assert stable_deformation_exists(sub)
+
+
+def test_merge_check_agrees_with_the_summand_gram():
+    for gram, mults, _ in stratum_corpus():
+        dec = basis_decomposition(gram, mults)
+        v = dec.classes
+        for i in range(dec.size):
+            for j in range(i + 1, dec.size):
+                assert pairwise_merge_check(v[i], v[j]) == (dec._gram[i][j] >= 2)
+
+
+def test_merge_step_rejects_a_gram_that_disagrees_with_the_classes():
+    # The merge step squares v_i + v_j afresh; a Gram entry that does
+    # not match it is an internal fault, not a merge.
+    dec = basis_decomposition(((2, 1), (1, -2)), (1, 1))
+    assert analyze_stratum(dec).verdict.kind == "totally_semistable_shape"
+    object.__setattr__(dec, "_gram", ((2, 2), (2, -2)))
+    with pytest.raises(InternalInvariantError, match="merge inequality"):
+        analyze_stratum(dec)
 
 
 def rank2_wall_corpus():

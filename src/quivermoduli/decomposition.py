@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Iterable
 
@@ -17,6 +18,8 @@ class PolystableDecomposition:
 
     Stable summands of equal phase force the invariants checked here:
     every square is even and >= -2, and distinct classes pair >= 0.
+    It owns its total class v = sum(n_i * v_i), built on the first
+    ``total()`` and cached outside the fields for the slice test.
     """
 
     summands: tuple[tuple[LatticeVector, int], ...]
@@ -70,6 +73,10 @@ class PolystableDecomposition:
         return len(self.summands)
 
     def total(self) -> LatticeVector:
+        return self._total
+
+    @cached_property
+    def _total(self) -> LatticeVector:
         return self.combination(self.multiplicities)
 
     def combination(self, coeffs: Iterable[int]) -> LatticeVector:

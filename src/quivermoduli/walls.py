@@ -7,13 +7,13 @@ located by exact sign vectors.  On the stability side, the degree
 vector Im(Z(v_i)/Z0(v)) carries a normalized-slice stability function
 to a character, and wall equations correspond exactly.
 
-Degree vectors are computed on cleared integer numerators that share
-one positive denominator, so the slice test and the wall guard are
-zero tests on integers; only returned values become ``Fraction``s,
-identical to those of a per-coordinate ``Fraction`` evaluation.  A
-character point is cleared the same way once, so its annihilation
-check, its dot products, chamber signs and King slopes are integer
-too.
+Degree vectors are computed on cleared integer numerators over one
+positive denominator; the slice test (one evaluation of Z, at the total
+class) and the wall guard are zero tests on integers.  Only returned
+values become ``Fraction``s, identical to those of a per-coordinate
+``Fraction`` evaluation.  A character point is cleared the same way
+once, so its annihilation check, its dot products, chamber signs and
+King slopes are integer too.
 """
 
 from __future__ import annotations
@@ -161,11 +161,24 @@ def _degree_numerators(
     if z0_of_total.is_zero():
         raise DegenerateValueError("reference value Z0(v) must be nonzero")
     e, (p, q) = clear((z0_of_total.re, z0_of_total.im))
-    nums = []
-    for v in decomp.classes:
-        x, y = z._numerators(v)
-        nums.append(e * (y * p - x * q))
-    return tuple(nums), z._cleared[0] * (p * p + q * q)
+    nums = tuple(e * (y * p - x * q) for x, y in map(z._numerators, decomp.classes))
+    return nums, z._cleared[0] * (p * p + q * q)
+
+
+def _slice_holds(
+    z: StabilityFunction, pq: tuple[int, int], decomp: PolystableDecomposition
+) -> bool:
+    """The slice test, on Z at the total class v only: with Z(v) = (X + i*Y)/D
+    and ``pq`` = (p, q), the numerators N_i above sum to E*(Y*p - X*q), so
+    the total degree vanishes exactly when Y*p == X*q."""
+    p, q = pq
+    if p == q == 0:
+        raise DegenerateValueError("reference value Z0(v) must be nonzero")
+    x, y = z._numerators(decomp.total())
+    return y * p == x * q
+
+
+_OFF_SLICE = "stability function is off the slice: total degree is nonzero"
 
 
 def _dot(coeffs: Sequence[int], nums: Sequence[int]) -> int:
@@ -180,13 +193,6 @@ def _coefficients(coeffs: Sequence[int], decomp: PolystableDecomposition) -> tup
             f"{len(coeffs)} coefficients for {decomp.size} summands"
         )
     return coeffs
-
-
-def _require_on_slice(nums: Sequence[int], decomp: PolystableDecomposition) -> None:
-    if _dot(decomp.multiplicities, nums) != 0:
-        raise LatticeMismatchError(
-            "stability function is off the slice: total degree is nonzero"
-        )
 
 
 def degree_vector(
@@ -205,10 +211,9 @@ def on_slice(
     z0_of_total: GaussianRational,
     decomp: PolystableDecomposition,
 ) -> bool:
-    """Whether the degree of the total class vanishes, i.e. the degree
-    vector is a legal character for the multiplicity vector."""
-    nums, _ = _degree_numerators(z, z0_of_total, decomp)
-    return _dot(decomp.multiplicities, nums) == 0
+    """Whether the degree of the total class v vanishes, i.e. the degree
+    vector is a legal character: one evaluation of Z, at the cached v."""
+    return _slice_holds(z, clear((z0_of_total.re, z0_of_total.im))[1], decomp)
 
 
 def to_character(
@@ -221,8 +226,9 @@ def to_character(
     With Z0(v) = i the coordinates are -Re Z(v_i), matching the
     determinant-character exponents.
     """
+    if not on_slice(z, z0_of_total, decomp):
+        raise LatticeMismatchError(_OFF_SLICE)
     nums, den = _degree_numerators(z, z0_of_total, decomp)
-    _require_on_slice(nums, decomp)
     return CharacterPoint(tuple(Fraction(n, den) for n in nums), decomp.multiplicities)
 
 
@@ -240,12 +246,13 @@ def wall_correspondence_holds(
     On the cleared numerators N_i of the degree vector the two sides are
     one integer: the degree of sum(alpha_i v_i) and theta . alpha are
     both sum(alpha_i N_i) over the same positive denominator.  So every
-    sample on the slice satisfies the dictionary, and what is left to
-    check is that each sample lies on the slice, after ``alpha`` has
-    one coefficient per summand.
+    sample on the slice satisfies the dictionary.  Left to check: that
+    ``alpha`` has one coefficient per summand, then, clearing Z0(v) once,
+    that each sample lies on the slice (one evaluation of Z, at v).
     """
     _coefficients(alpha, decomp)
+    pq = clear((z0_of_total.re, z0_of_total.im))[1]
     for z in samples:
-        nums, _ = _degree_numerators(z, z0_of_total, decomp)
-        _require_on_slice(nums, decomp)
+        if not _slice_holds(z, pq, decomp):
+            raise LatticeMismatchError(_OFF_SLICE)
     return True

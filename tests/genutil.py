@@ -13,16 +13,19 @@ from functools import cache
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from quivermoduli import (
     DoubleQuiverRep,
     ExtQuiver,
+    CharacterPoint,
     GramLattice,
     PolystableDecomposition,
 )
 from quivermoduli.errors import (
+    DegenerateValueError,
     HomNonvanishingError,
+    LatticeMismatchError,
     MalformedSummandError,
     QuiverModuliError,
     ShapeMismatchError,
@@ -342,6 +345,93 @@ def degree_of_class(
     coeffs = _coefficients(coeffs, decomp)
     nums, den = _degree_numerators(z, z0_of_total, decomp)
     return Fraction(_dot(coeffs, nums), den)
+
+
+# The slice functions of ``walls`` on the whole degree vector: Z is
+# evaluated at every summand and Z0(v) is cleared again for each sample,
+# and the slice test is sum(n_i N_i) == 0.  Oracles for the results,
+# exception types and messages of the one-evaluation library versions.
+
+
+def reference_degree_numerators(
+    z: StabilityFunction,
+    z0_of_total: GaussianRational,
+    decomp: PolystableDecomposition,
+) -> tuple[tuple[int, ...], int]:
+    """The degrees Im(Z(v_i)/Z0(v)) as integer numerators over one
+    positive denominator.
+
+    With Z(v_i) = (x_i + i*y_i)/D and Z0(v) = (p + i*q)/E cleared to
+    integers, Im(Z(v_i)/Z0(v)) = E*(y_i*p - x_i*q) / (D*(p^2 + q^2)).
+    """
+    if z0_of_total.is_zero():
+        raise DegenerateValueError("reference value Z0(v) must be nonzero")
+    e, (p, q) = clear((z0_of_total.re, z0_of_total.im))
+    nums = []
+    for v in decomp.classes:
+        x, y = z._numerators(v)
+        nums.append(e * (y * p - x * q))
+    return tuple(nums), z._cleared[0] * (p * p + q * q)
+
+
+def reference_require_on_slice(
+    nums: Sequence[int], decomp: PolystableDecomposition
+) -> None:
+    if _dot(decomp.multiplicities, nums) != 0:
+        raise LatticeMismatchError(
+            "stability function is off the slice: total degree is nonzero"
+        )
+
+
+def reference_on_slice(
+    z: StabilityFunction,
+    z0_of_total: GaussianRational,
+    decomp: PolystableDecomposition,
+) -> bool:
+    """Whether the degree of the total class vanishes, i.e. the degree
+    vector is a legal character for the multiplicity vector."""
+    nums, _ = reference_degree_numerators(z, z0_of_total, decomp)
+    return _dot(decomp.multiplicities, nums) == 0
+
+
+def reference_to_character(
+    z: StabilityFunction,
+    z0_of_total: GaussianRational,
+    decomp: PolystableDecomposition,
+) -> CharacterPoint:
+    """Send an on-slice stability function to its quiver character.
+
+    With Z0(v) = i the coordinates are -Re Z(v_i), matching the
+    determinant-character exponents.
+    """
+    nums, den = reference_degree_numerators(z, z0_of_total, decomp)
+    reference_require_on_slice(nums, decomp)
+    return CharacterPoint(tuple(Fraction(n, den) for n in nums), decomp.multiplicities)
+
+
+def reference_wall_correspondence_holds(
+    alpha: Sequence[int],
+    samples: Iterable[StabilityFunction],
+    z0_of_total: GaussianRational,
+    decomp: PolystableDecomposition,
+) -> bool:
+    """Regression guard for the wall dictionary: a sample lies on the
+    stability-side wall of sum(alpha_i v_i) exactly when its character
+    lies on the root's hyperplane.  This is an identity; any failure
+    means a bug.
+
+    On the cleared numerators N_i of the degree vector the two sides are
+    one integer: the degree of sum(alpha_i v_i) and theta . alpha are
+    both sum(alpha_i N_i) over the same positive denominator.  So every
+    sample on the slice satisfies the dictionary, and what is left to
+    check is that each sample lies on the slice, after ``alpha`` has
+    one coefficient per summand.
+    """
+    _coefficients(alpha, decomp)
+    for z in samples:
+        nums, _ = reference_degree_numerators(z, z0_of_total, decomp)
+        reference_require_on_slice(nums, decomp)
+    return True
 
 
 def positive_cone_member(hp: HyperbolicPair, u: LatticeVector) -> bool:

@@ -31,6 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quivermoduli import (
+    CharacterPoint,
     DoubleQuiverRep,
     ExtQuiver,
     GramLattice,
@@ -48,13 +49,19 @@ from quivermoduli import (
     to_character,
     wall_correspondence_holds,
 )
-from quivermoduli.errors import QuiverModuliError
+from quivermoduli.errors import DegenerateValueError, LatticeMismatchError, QuiverModuliError
 from quivermoduli.lattice import _conic_points, iter_box
 from quivermoduli.quiver import DEFAULT_ROOT_BUDGET
 from quivermoduli.scenario import to_wire
 from quivermoduli.stability import GaussianRational as G
 
-from genutil import degree_of_class, random_quiver
+from genutil import (
+    degree_of_class,
+    random_quiver,
+    reference_on_slice,
+    reference_to_character,
+    reference_wall_correspondence_holds,
+)
 
 
 def filtered_box(rank, bound):
@@ -493,6 +500,78 @@ def test_wall_dictionary_matches_recorded_digest():
         lines.append(json.dumps(record))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == WALL_DICTIONARY_DIGEST
+
+
+def full_outcome(call):
+    """The result, or the type and message of the error raised."""
+    try:
+        return ["returned", call()]
+    except Exception as exc:
+        return ["raised", type(exc), str(exc)]
+
+
+def slice_outcomes(dec, ref, samples, alphas, funcs):
+    """Every slice answer of ``funcs`` = (on_slice, to_character,
+    wall_correspondence_holds) on one case."""
+    on, character, holds = funcs
+    record = []
+    for z in samples:
+        record.append(full_outcome(lambda: on(z, ref, dec)))
+        record.append(full_outcome(lambda: character(z, ref, dec)))
+    for a in alphas:
+        for prefix in range(len(samples) + 1):
+            record.append(full_outcome(lambda: holds(a, samples[:prefix], ref, dec)))
+    return record
+
+
+LIBRARY_SLICE = (on_slice, to_character, wall_correspondence_holds)
+REFERENCE_SLICE = (reference_on_slice, reference_to_character, reference_wall_correspondence_holds)
+
+
+def fixed_slice_cases():
+    """Cases with several faults at once: which error wins is the
+    order of the checks."""
+    lat = GramLattice(((-2, 2), (2, -2)), even=True)
+    other = GramLattice(((0, 1), (1, 0)), even=True)
+    dec = PolystableDecomposition.of([(lat.vector((1, 0)), 1), (lat.vector((0, 1)), 2)])
+    i = G.of(0, 1)
+    on = StabilityFunction(lat, (G.of(2, 1), G.of(-1, Q(1, 3))))
+    off = StabilityFunction(lat, (G.of(1, 1), G.of(1, 1)))
+    elsewhere = StabilityFunction(other, (G.of(2, 1), G.of(-1, Q(1, 3))))
+    zero = G.of(0)
+    return [
+        (dec, zero, [], [(1, 0)]),
+        (dec, zero, [on, off, elsewhere], [(1, 0)]),
+        (dec, i, [on, elsewhere, off], [(1, 1)]),
+        (dec, i, [on, off, elsewhere], [(0, 1)]),
+        (dec, i, [off, on], [(1, 0, 0), (1,), ()]),
+        (dec, zero, [off], [(1, 0, 0)]),
+        (dec, i, [on, off], [("one", 0), (None, 1), (Q(1, 2), 1)]),
+        (dec, zero, [on], [("one", 0)]),
+    ]
+
+
+def test_slice_matches_per_summand_reference():
+    # The slice test on one evaluation at the total class gives what the
+    # per-summand reference gives: results, error types and messages.
+    cases = wall_dictionary_cases() + fixed_slice_cases()
+    for dec, ref, samples, alphas in cases:
+        assert dec.total() == dec.combination(dec.multiplicities)
+        assert dec.total() is dec.total()
+        assert slice_outcomes(dec, ref, samples, alphas, LIBRARY_SLICE) == slice_outcomes(
+            dec, ref, samples, alphas, REFERENCE_SLICE
+        )
+
+
+def test_fixed_slice_cases_reach_every_outcome():
+    # The fixed cases exercise each error of the slice, the early
+    # ``True`` on no samples, and a wrong or non-integer ``alpha``.
+    seen = set()
+    for case in fixed_slice_cases():
+        for out in slice_outcomes(*case, LIBRARY_SLICE):
+            seen.add(out[1] if out[0] == "raised" else type(out[1]))
+    assert {bool, CharacterPoint, DegenerateValueError, LatticeMismatchError,
+            ValueError, TypeError} <= seen
 
 
 # -- positive roots and the Crawley-Boevey splitting table -------------

@@ -284,7 +284,8 @@ class TestWallCorrespondence:
 
     def test_one_degree_vector_per_sample(self, monkeypatch):
         # Every evaluation of Z, __call__ included, goes through the
-        # integer kernel ``_numerators``.
+        # integer kernel ``_numerators``; the slice test evaluates Z once
+        # per sample, at the total class.
         evaluations = []
         original = StabilityFunction._numerators
 
@@ -295,7 +296,8 @@ class TestWallCorrespondence:
         monkeypatch.setattr(StabilityFunction, "_numerators", counting)
         samples = [on_slice_function(Q(k, 3)) for k in range(-4, 5)]
         assert wall_correspondence_holds((1, 0), samples, Z0_V, DEC)
-        assert len(evaluations) == len(samples) * DEC.size
+        assert len(evaluations) == len(samples)
+        assert all(v is DEC.total() for v in evaluations)
         evaluations.clear()
         assert Z0(DEC.total()) == Z0_V
         assert len(evaluations) == 1

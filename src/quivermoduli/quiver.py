@@ -11,7 +11,6 @@ representation.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -280,59 +279,75 @@ class SimpleRepVerdict:
         return self.exists
 
 
+def _splitting_table(q: ExtQuiver, n: DimVector, budget: int) -> tuple:
+    """Crawley-Boevey's best-splitting table over the box below n: value
+    (packed m -> the largest total p over splittings of m into positive
+    roots, m alone counting when in Sigma_0), the roots (packed -> (root,
+    p)) and Sigma_0 as (packed, p), both in lex order, and the guards."""
+    box = prod(b + 1 for b in n)
+    if box > budget:
+        raise BudgetExceededError(f"root box of size {box} exceeds the budget {budget}")
+    # A cell packs into one int, coordinate 0 highest, in fields topped by
+    # a guard bit: packed order is lex order, and m - beta >= 0 iff (packed(m)
+    # | guards) - packed(beta) keeps every guard, the rest packed(m - beta).
+    width = max(n).bit_length() + 1
+    shifts = [width * i for i in reversed(range(len(n)))]
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    walk = zip(itertools.product(*(range(b + 1) for b in n)),
+               itertools.product(*([0] + [1 << i] * b for i, b in enumerate(n))),
+               itertools.product(*([a << s for a in range(b + 1)] for b, s in zip(n, shifts))))
+    next(walk)  # the zero cell
+    value, roots, sigma0 = {0: 0}, {}, []
+    for alpha, mask, fields in walk:
+        m = sum(fields)
+        top, x = -1, m | guards
+        for pb, p in sigma0:
+            rest = x - pb
+            if rest & guards == guards:
+                v = p + value[rest ^ guards]
+                if v > top:
+                    top = v
+        connected, terms = _support(q, sum(mask))
+        if connected:
+            p = sum(c * alpha[i] * alpha[j] for i, j, c in terms) // 2 + 1
+            if p >= 0:
+                roots[m] = alpha, p
+                if p > top:  # a root beating its best splitting is in Sigma_0
+                    sigma0.append((m, p))
+                    top = p
+        value[m] = top
+    return value, roots, sigma0, guards
+
+
 def simple_rep_exists(
     q: ExtQuiver, n: Iterable[int], budget: int = DEFAULT_ROOT_BUDGET
 ) -> SimpleRepVerdict:
-    """Crawley-Boevey's criterion: n must be a positive root and every
-    splitting of n into two or more positive roots must strictly drop
-    num_parameters.  Splittings are explored exhaustively with a
-    best-splitting table over the box below n."""
+    """Crawley-Boevey's criterion (Compositio Math. 2001, Thm 1.2): n is a
+    positive root in Sigma_0, i.e. every splitting of n into two or more
+    positive roots strictly drops num_parameters p.  A root outside Sigma_0
+    splits into roots whose p sum to at least its own, so one lex walk of
+    the box tries as parts only the Sigma_0 roots found so far.  Only on a
+    failure is the first optimal splitting in lex order rebuilt, from n down:
+    the lex-first root beta with p(beta) + value[rest - beta] == value[rest]."""
     n = _check_length(q, n)
     if all(x == 0 for x in n):
         raise DegenerateValueError("the zero dimension vector has no representations")
     if not is_positive_root(q, n, n):
         return SimpleRepVerdict(False, reason="not a positive root")
-    roots = _roots_with_forms(q, n, budget)
-
-    # Cells are packed into one int each, coordinate 0 highest, in fields
-    # whose top bit is a guard: packed order is lex order, and m - beta
-    # >= 0 iff (packed(m) | guards) - packed(beta) keeps every guard; its
-    # guard-free part is then packed(m - beta).
-    width = max(n).bit_length() + 1
-    shifts = [width * i for i in reversed(range(len(n)))]
-    guards = sum(1 << (s + width - 1) for s in shifts)
-    packed = [sum(a << s for a, s in zip(alpha, shifts)) for alpha, _ in roots]
-    rows = [(pb, form // 2 + 1, k) for k, (pb, (_, form)) in enumerate(zip(packed, roots))]
-    axes = ([a << s for a in range(b + 1)] for b, s in zip(n, shifts))
-    cells = [sum(c) for c in itertools.product(*axes)]
-
-    # value[m] is the largest total num_parameters over splittings of m
-    # into positive roots (of n into two or more), first[m] the first
-    # part of the first optimal splitting in lex order.  Product order
-    # fills every m - beta before m, and below n every cell has a
-    # splitting into unit vectors.  A root beta <= m has packed(beta) <=
-    # packed(m), so only that prefix of the roots is tried.
-    pn = cells[-1]
-    value, first = {0: 0}, {}
-    for m in cells[1:]:
-        top, arg, x = -1, None, m | guards
-        for pb, p, k in rows[:bisect_right(packed, m) - (m == pn)]:
-            rest = x - pb
-            if rest & guards == guards:
-                v = p + value[rest ^ guards]
-                if v > top:
-                    top, arg = v, k
-        value[m], first[m] = top, arg
-    p_n, champion = rows[-1][1], value[pn]
-    if champion < 0 or p_n > champion:
+    value, roots, sigma0, guards = _splitting_table(q, n, budget)
+    pn = next(reversed(value))
+    if sigma0[-1][0] == pn:
         return SimpleRepVerdict(True)
     parts, rest = [], pn
     while rest:
-        k = first[rest]
-        parts.append(roots[k][0])
-        rest -= packed[k]
+        for pb, (beta, p) in roots.items():
+            left = (rest | guards) - pb
+            if left & guards == guards and p + value[left ^ guards] == value[rest]:
+                break
+        parts.append(beta)
+        rest = left ^ guards
     parts.sort(reverse=True)
-    reason = f"splitting drops no parameters: p{n} = {p_n} <= {champion} = sum over parts"
+    reason = f"splitting drops no parameters: p{n} = {roots[pn][1]} <= {value[pn]} = sum over parts"
     return SimpleRepVerdict(False, reason=reason, violating_parts=tuple(parts))
 
 

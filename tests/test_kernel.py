@@ -15,7 +15,9 @@ conic solver it shares with ``find_isotropic`` is checked against a
 box scan on forms of every kind.  The other
 kernels are pinned the same way, each by a digest recorded from the
 Fraction or per-cell tuple implementation it replaced; the splitting
-table is also checked against a brute-force multiset oracle.
+table is also checked against a brute-force multiset oracle, and its
+Sigma_0 classification of every cell against ``simple_rep_exists`` on
+that cell's own box.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from quivermoduli import (
 )
 from quivermoduli.errors import DegenerateValueError, LatticeMismatchError, QuiverModuliError
 from quivermoduli.lattice import _conic_points, iter_box
-from quivermoduli.quiver import DEFAULT_ROOT_BUDGET
+from quivermoduli.quiver import DEFAULT_ROOT_BUDGET, _splitting_table
 from quivermoduli.scenario import to_wire
 from quivermoduli.stability import GaussianRational as G
 
@@ -710,6 +712,71 @@ def test_splitting_table_matches_multiset_oracle(q, n):
     assert verdict.reason == (
         f"splitting drops no parameters: p{n} = {p[n]} <= {best} = sum over parts"
     )
+
+
+def splitting_cases():
+    """Boxes past the grid's ROOT_TOPS, where many roots are not in
+    Sigma_0: the loop-edge quiver up to (12, 12), one vertex with 0-3
+    loops up to n = 300, the ``tree_wall`` quiver up to (20, 20), and
+    seeded 3- and 4-vertex quivers up to (4, 4, 4) and (3, 3, 3, 3)."""
+    loop_edge = ExtQuiver((1, 1), ((0, 1, 1),))
+    tree_wall = ExtQuiver((2, 0), ((0, 1, 1),))
+    cases = [(loop_edge, (a, b)) for a in range(13) for b in range(13)]
+    cases += [(ExtQuiver((g,), ()), (k,)) for g in range(4)
+              for k in (*range(21), 50, 99, 100, 101, 150, 200, 256, 299, 300)]
+    cases += [(tree_wall, (a, b)) for a in range(21) for b in range(21)]
+    rng = random.Random(83)
+    for s, top, count in ((3, 4, 150), (4, 3, 150)):
+        for _ in range(count):
+            loops = tuple(rng.randint(0, 2) for _ in range(s))
+            arrows = tuple(
+                (i, j, rng.randint(0, 3)) for i, j in itertools.combinations(range(s), 2)
+            )
+            cases.append((ExtQuiver(loops, arrows), tuple(rng.randint(0, top) for _ in range(s))))
+    return cases
+
+
+# sha256 of the full SimpleRepVerdict over the 1030 splitting cases, at
+# the default budget and at one cell short of the box, one JSON line
+# per case, recorded from the table that tried every root as a part.
+SPLITTING_DIGEST = "b2e29ff83c1539e4939140b772682ccfc3d0c23918e7762b249aefae52db20ad"
+
+
+def test_splitting_table_on_large_boxes_matches_recorded_digest():
+    lines = []
+    for q, n in splitting_cases():
+        box = 1
+        for b in n:
+            box *= b + 1
+        lines.append(json.dumps([
+            q.loops, q.arrows, n,
+            outcome(lambda: verdict_fields(simple_rep_exists(q, n))),
+            outcome(lambda: verdict_fields(simple_rep_exists(q, n, budget=box - 1))),
+        ]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SPLITTING_DIGEST
+
+
+def sigma0_cases(count=160, seed=89):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        q = random_quiver(rng, 4)
+        n = tuple(rng.randint(0, ROOT_TOPS[q.num_vertices - 1]) for _ in q.loops)
+        if any(n):
+            cases.append((q, n))
+    return cases
+
+
+@pytest.mark.parametrize("q,n", sigma0_cases())
+def test_splitting_table_sigma0_matches_simple_rep_exists(q, n):
+    """The table classifies each cell beta <= n, n included, as in
+    Sigma_0 exactly when simple_rep_exists(beta) holds on its own box."""
+    _, roots, sigma0, _ = _splitting_table(q, n, DEFAULT_ROOT_BUDGET)
+    table = {roots[pb][0] for pb, _ in sigma0}
+    for beta in itertools.product(*(range(b + 1) for b in n)):
+        if any(beta):
+            assert (beta in table) == simple_rep_exists(q, beta).exists, beta
 
 
 # -- the moment map on cleared numerators ------------------------------

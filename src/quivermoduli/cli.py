@@ -114,12 +114,14 @@ def _filtration(sc: Scenario, name: str) -> WeightedFiltration:
     return WeightedFiltration(tuple((w, _vector(sc, v)) for w, v in steps))
 
 
-def _terms(sc: Scenario, text: str) -> list[tuple[int, list[int]]]:
-    try:
-        return [(int(w), [int(c) for c in coeffs]) for w, coeffs in json.loads(text)]
-    except (TypeError, OverflowError) as exc:
-        # a non-list term or coefficient list, or an infinite number
-        raise ValueError(f"terms must be [[weight, [coefficients]], ...]: {exc}") from exc
+def _terms(sc: Scenario, text: str) -> list[list]:
+    terms = json.loads(text)
+    # Exact ints only: true, 1.5 or "12" would be read as 1, 1 or [1, 2].
+    if not isinstance(terms, list) or not all(
+            isinstance(term, list) and len(term) == 2 and isinstance(term[1], list)
+            and all(type(x) is int for x in [term[0], *term[1]]) for term in terms):
+        raise ValueError(f"terms must be [[weight, [coefficients]], ...] of integers, not {text}")
+    return terms
 
 
 # argument or flag name -> its lookup (scenario, string) -> library value

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from math import lcm, prod
@@ -238,30 +238,21 @@ class SearchLimits:
     bitmask sums of ``_SeedClosures``.  When T exceeds what remains, the
     closure raises ``BudgetExceededError`` (which
     ``jordan_holder_search`` reports as incomplete) after at most the
-    per-vector closures of its own seed set.  The other fields fix the
-    seed sets, which every search on one dimension vector under equal
-    limits, whatever its budget, reads from one shared ``_SeedPlan``
-    (see there for the categories).  Every field must be an ``int`` (a
-    ``bool`` is not one); anything else raises ``TypeError``.
+    per-vector closures of its own seed set.  Every search on one
+    dimension vector with equal ``prng_samples`` and ``seed``, whatever
+    its budget, reads its seed sets from one shared ``_SeedPlan`` (see
+    there).  Every field must be an ``int`` (a ``bool`` is not one);
+    anything else raises ``TypeError``.
     """
 
     budget: int = DEFAULT_SEARCH_BUDGET
-    max_subset_seeds: int = 4096
     prng_samples: int = 8
     seed: int = 0
-    grid_radius: int = 1
-    grid_dim_cap: int = 8
-    max_grid_tuples: int = 1024
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if type(value) is not int:
                 raise TypeError(f"SearchLimits.{name} must be an int, not {value!r}")
-
-    @cached_property
-    def _unbudgeted(self) -> SearchLimits:
-        """These limits with budget 0, built once: their plan's key."""
-        return replace(self, budget=0)
 
 
 @dataclass(frozen=True)
@@ -456,18 +447,18 @@ def _direction(vec: IntVec) -> tuple[int, ...]:
 
 
 @cache
-def _grid_directions(dim: int, radius: int) -> tuple[tuple[int, ...], ...]:
+def _grid_directions(dim: int) -> tuple[tuple[int, ...], ...]:
     """The directions of the nonzero grid vectors, in deterministic order."""
-    grid = itertools.product(range(-radius, radius + 1), repeat=dim)
+    grid = itertools.product(_GRID_ENTRIES, repeat=dim)
     return tuple(dict.fromkeys(_direction(vec) for vec in grid if any(vec)))
 
 
 @cache
-def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _grid_subspaces(dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Distinct subspaces of Q^dim spanned by grid vectors, including
     the zero and full subspace, ordered by their reduced bases; each is
     given by that basis with every row cleared to integers."""
-    directions = _grid_directions(dim, radius)
+    directions = _grid_directions(dim)
     seen = set()
     for size in range(0, dim + 1):
         for combo in itertools.combinations(directions, size):
@@ -480,13 +471,18 @@ def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(tuple(clear(row)[1] for row in basis) for basis in ordered)
 
 
+# The fixed shape of every seed plan (see ``_SeedPlan._draw``).
+MAX_SUBSET_SEEDS = 4096
+_GRID_DIM_CAP = 8
+_GRID_ENTRIES = (-1, 0, 1)
+_MAX_GRID_TUPLES = 1024
 # The 21 values a PRNG seed entry a/b can take, a in [-3, 3], b in [1, 3].
 _PRNG_ENTRIES = {(a, b): Fraction(a, b) for a in range(-3, 4) for b in range(1, 4)}
 
 
 class _SeedPlan:
-    """The seed sets of every search on one dimension vector under one
-    ``SearchLimits`` (its budget aside), drawn lazily and shared.
+    """The seed sets of every search on one dimension vector with one
+    ``prng_samples`` and ``seed``, drawn lazily and shared.
 
     ``seeds`` lists the distinct seeds as (vertex, direction) in
     first-seen order; a direction is a primitive integer vector whose
@@ -499,8 +495,8 @@ class _SeedPlan:
     concurrent searches draw each set once.
     """
 
-    def __init__(self, n: DimVector, limits: SearchLimits):
-        self.n, self.limits = n, limits
+    def __init__(self, n: DimVector, prng_samples: int, seed: int):
+        self.n, self.prng_samples, self.seed = n, prng_samples, seed
         self.seeds = [(vertex, _unit(m, k)) for vertex, m in enumerate(n) for k in range(m)]
         self._index = {seed: k for k, seed in enumerate(self.seeds)}
         self.sets: list[SeedSet] = []
@@ -540,34 +536,33 @@ class _SeedPlan:
         return tuple(out)
 
     def _draw(self) -> Iterator[SeedSet]:
-        """In order: single standard basis vectors, coordinate subspace
-        combinations, small-grid seeds (only when the total dimension is
-        at most ``grid_dim_cap``), then ``prng_samples`` seeded random
-        vectors."""
-        n, limits = self.n, self.limits
+        """In order: single standard basis vectors, at most
+        ``MAX_SUBSET_SEEDS`` coordinate subspace combinations, grid seeds
+        with entries in ``_GRID_ENTRIES`` (only up to total dimension
+        ``_GRID_DIM_CAP``, and at most ``_MAX_GRID_TUPLES`` grid tuples),
+        then ``prng_samples`` seeded random vectors."""
+        n = self.n
         d = sum(n)
         for k in range(d):
             yield "basis", (k,)
         subsets = itertools.chain.from_iterable(
             itertools.combinations(range(d), size) for size in range(2, d + 1))
-        for count, subset in enumerate(subsets):
-            if count >= limits.max_subset_seeds:
-                break
+        for subset in itertools.islice(subsets, MAX_SUBSET_SEEDS):
             yield "subset", subset
-        if d <= limits.grid_dim_cap:
+        if d <= _GRID_DIM_CAP:
             for vertex, m in enumerate(n):
                 if m <= 4:  # direction count grows as 3^m
-                    for vec in _grid_directions(m, limits.grid_radius):
+                    for vec in _grid_directions(m):
                         yield "grid", self._indices([(vertex, vec)])
             # Subspace enumeration is only cheap in low vertex dimension.
-            per_vertex = [_grid_subspaces(m, limits.grid_radius) for m in n] if max(n) <= 3 else []
-            if per_vertex and prod(map(len, per_vertex)) <= limits.max_grid_tuples:
+            per_vertex = [_grid_subspaces(m) for m in n] if max(n) <= 3 else []
+            if per_vertex and prod(map(len, per_vertex)) <= _MAX_GRID_TUPLES:
                 for choice in itertools.product(*per_vertex):
                     if any(choice):
                         yield "grid-tuple", self._indices(
                             (vertex, vec) for vertex, basis in enumerate(choice) for vec in basis)
-        rng = random.Random(limits.seed)
-        for _ in range(limits.prng_samples):
+        rng = random.Random(self.seed)
+        for _ in range(self.prng_samples):
             seeds = []
             for vertex, m in enumerate(n):
                 _, vec = clear([_PRNG_ENTRIES[rng.randint(-3, 3), rng.randint(1, 3)]
@@ -584,7 +579,7 @@ _plans = lru_cache(maxsize=16)(_SeedPlan)
 def _seed_plan(n: DimVector, limits: SearchLimits) -> _SeedPlan:
     """The plan every search on ``n`` under ``limits`` shares, whatever
     its budget; the last 16 plans asked for are kept."""
-    return _plans(n, limits._unbudgeted)
+    return _plans(n, limits.prng_samples, limits.seed)
 
 
 def destabilizer_search(

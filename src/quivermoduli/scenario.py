@@ -23,7 +23,7 @@ from .decomposition import PolystableDecomposition
 from .errors import QuiverModuliError, ScenarioError
 from .lattice import GramLattice, LatticeVector
 from .quiver import DEFAULT_ROOT_BUDGET, ExtQuiver, build_ext_quiver
-from .representation import DEFAULT_SEARCH_BUDGET, DoubleQuiverRep, SearchLimits
+from .representation import DEFAULT_SEARCH_BUDGET, MAX_SUBSET_SEEDS, DoubleQuiverRep, SearchLimits
 from .stability import GaussianRational, StabilityFunction, WeightedFiltration
 
 # Largest sum(n_i^2) of a representation's dimension vector.  The
@@ -33,8 +33,8 @@ from .stability import GaussianRational, StabilityFunction, WeightedFiltration
 MAX_REP_SQUARES = 1024
 # Largest ``budgets.prng_samples``.  A seed set whose closures apply no
 # map is charged nothing, so the search budget cannot bound the PRNG
-# seed sets; the cap is the default number of subset seed sets.
-MAX_PRNG_SAMPLES = SearchLimits.max_subset_seeds
+# seed sets; the cap is the most subset seed sets a plan holds.
+MAX_PRNG_SAMPLES = MAX_SUBSET_SEEDS
 
 DEFAULT_BUDGETS = {
     "root_budget": DEFAULT_ROOT_BUDGET,
@@ -79,7 +79,7 @@ def _wire(obj):
 
 def _parse_int(raw, path: str, violations: list) -> int:
     try:
-        value = int(raw)
+        value = None if isinstance(raw, bool) else int(raw)
     except (ValueError, TypeError, OverflowError):
         value = None
     if value is None or (isinstance(raw, float) and value != raw):
@@ -350,11 +350,14 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
         except QuiverModuliError as exc:
             violations.append((path, f"no quiver available: {exc}"))
             break
-        if not isinstance(rep_doc, dict) or "n" not in rep_doc:
+        if not isinstance(rep_doc, dict) or not isinstance(rep_doc.get("n"), (list, tuple)):
             violations.append((path, "expected {n, x, y}"))
             continue
+        found = len(violations)
+        n = tuple(_parse_int(x, path, violations) for x in rep_doc["n"])
+        if len(violations) > found:
+            continue
         try:
-            n = tuple(int(x) for x in rep_doc["n"])
             squares = sum(x * x for x in n)
             if squares > MAX_REP_SQUARES:
                 violations.append((f"{path}.n", f"sum of squared dimensions "

@@ -588,8 +588,12 @@ def random_gram_decomposition(rng: random.Random, size: int) -> PolystableDecomp
 
 # The seed generators the searches drew from before they shared one
 # ``representation._SeedPlan`` per dimension vector and limits, copied
-# as they were: the oracle for the plan's stream.  Seeds are (vertex,
-# integer vector) pairs, where the plan keeps each vector's direction.
+# as they were: the oracle for the plan's stream.  The plan's fixed
+# shape, once set by limits, is written here as literals (4096 subset
+# seed sets; grid entries in {-1, 0, 1}, up to total dimension 8, with at
+# most 1024 grid tuples), apart from the library's constants.  Seeds are
+# (vertex, integer vector) pairs, where the plan keeps each vector's
+# direction.
 SeedSet = tuple[str, list[tuple[int, tuple[int, ...]]]]
 
 
@@ -604,28 +608,26 @@ def _basis_seeds(rep: DoubleQuiverRep) -> Iterator[SeedSet]:
             yield "basis", [(vertex, _unit(m, k))]
 
 
-def _subset_seeds(
-    rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[SeedSet]:
+def _subset_seeds(rep: DoubleQuiverRep) -> Iterator[SeedSet]:
     coords = [
         (vertex, k) for vertex, m in enumerate(rep.n) for k in range(m)
     ]
     count = 0
     for size in range(2, len(coords) + 1):
         for subset in itertools.combinations(coords, size):
-            if count >= limits.max_subset_seeds:
+            if count >= 4096:
                 return
             count += 1
             yield "subset", [(vertex, _unit(rep.n[vertex], k)) for vertex, k in subset]
 
 
 @cache
-def _grid_directions(dim: int, radius: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive grid vectors up to positive scaling, first nonzero
-    coordinate positive, in deterministic order."""
+def _grid_directions(dim: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive grid vectors with entries in {-1, 0, 1} up to positive
+    scaling, first nonzero coordinate positive, in deterministic order."""
     seen = set()
     out = []
-    for cand in itertools.product(range(-radius, radius + 1), repeat=dim):
+    for cand in itertools.product(range(-1, 2), repeat=dim):
         if all(c == 0 for c in cand):
             continue
         lead = next(c for c in cand if c != 0)
@@ -639,11 +641,11 @@ def _grid_directions(dim: int, radius: int) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _grid_subspaces(dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Distinct subspaces of Q^dim spanned by grid vectors, including
     the zero and full subspace, ordered by their reduced bases; each is
     given by that basis with every row cleared to integers."""
-    directions = _grid_directions(dim, radius)
+    directions = _grid_directions(dim)
     seen = set()
     for size in range(0, dim + 1):
         for combo in itertools.combinations(directions, size):
@@ -656,23 +658,21 @@ def _grid_subspaces(dim: int, radius: int) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(tuple(clear(row)[1] for row in basis) for basis in ordered)
 
 
-def _grid_seeds(
-    rep: DoubleQuiverRep, limits: SearchLimits
-) -> Iterator[SeedSet]:
-    if rep.total_dim > limits.grid_dim_cap:
+def _grid_seeds(rep: DoubleQuiverRep) -> Iterator[SeedSet]:
+    if rep.total_dim > 8:
         return
     for vertex, m in enumerate(rep.n):
         if m > 4:
             continue  # direction count grows as 3^m
-        for vec in _grid_directions(m, limits.grid_radius):
+        for vec in _grid_directions(m):
             yield "grid", [(vertex, vec)]
     if any(m > 3 for m in rep.n):
         return  # subspace enumeration is only cheap in low vertex dimension
-    per_vertex = [_grid_subspaces(m, limits.grid_radius) for m in rep.n]
+    per_vertex = [_grid_subspaces(m) for m in rep.n]
     total = 1
     for options in per_vertex:
         total *= len(options)
-    if total > limits.max_grid_tuples:
+    if total > 1024:
         return
     for choice in itertools.product(*per_vertex):
         seeds = [
@@ -704,8 +704,8 @@ def _prng_seeds(
 
 def _all_seeds(rep, limits) -> Iterator[SeedSet]:
     yield from _basis_seeds(rep)
-    yield from _subset_seeds(rep, limits)
-    yield from _grid_seeds(rep, limits)
+    yield from _subset_seeds(rep)
+    yield from _grid_seeds(rep)
     yield from _prng_seeds(rep, limits)
 
 

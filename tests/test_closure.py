@@ -10,8 +10,8 @@ each closure as a sum of interned per-vector closures, one bit each,
 memoised per seed-set mask; that sum is checked against the iterated
 closure ``genutil.reference_closure`` in spaces and in budget charged.
 The seed sets come from one lazily drawn plan shared per dimension
-vector and limits; it is checked against verbatim copies of the seed
-generators the searches used before, and for laziness, sharing and
+vector, PRNG sample count and seed; it is checked against copies of the
+seed generators the searches used before, and for laziness, sharing and
 concurrent readers.
 """
 
@@ -131,7 +131,7 @@ LIMITS = (
     SearchLimits(),
     SearchLimits(budget=7),
     SearchLimits(budget=60, prng_samples=3, seed=5),
-    SearchLimits(budget=400, max_subset_seeds=5, grid_dim_cap=0, seed=11),
+    SearchLimits(budget=400, seed=11),
 )
 
 
@@ -165,15 +165,16 @@ def jh_outcome(rep, theta, limits):
     return (got.complete, got.steps, got.graded_dims, got.reason)
 
 
-# sha256 of the repr of every outcome above, one line each, recorded
+# sha256 of every case's key (n, theta and the three limits) and the
+# repr of its outcomes above, one line each; the outcomes were recorded
 # from the Fraction closure.
-SEARCH_DIGEST = "2ee5b952c499b85c087cde4026a334f6e7750057ae86a36461754c298e359b4e"
+SEARCH_DIGEST = "18a187f4bb551f603a534cc6d127d48a48802281790fa8078a17a796bdd1a024"
 
 
 def test_search_answers_match_recorded_digest():
     lines = []
     for rep, theta, limits in search_cases():
-        lines.append(repr((rep.n, theta, limits)))
+        lines.append(repr((rep.n, theta, limits.budget, limits.prng_samples, limits.seed)))
         lines.append(repr(destabilizer_outcome(rep, theta, limits)))
         lines.append(repr(jh_outcome(rep, theta, limits)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -482,7 +483,7 @@ PLAN_DIMENSIONS = ((1,), (4,), (0, 2), (3, 0, 1), (1, 1, 1), (2, 2), (0, 1, 0, 4
 
 
 def test_seed_plan_expands_to_the_seed_generators():
-    """Every plan lists what the verbatim copies of the former seed
+    """Every plan lists what the copies of the former seed
     generators yield, in category, order and count, each vector
     replaced by its direction; its seeds are distinct directions with
     the standard basis vectors first."""
@@ -585,12 +586,13 @@ def test_replay_draws_only_what_its_passes_read(drawn):
     """Passes of one search over its plan re-read the masks of the sets
     read before and draw a set only when they run past them."""
     rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ((0, 1, 1),)), (1, 2))
-    plan = _seed_plan(rep.n, SearchLimits(prng_samples=3))
+    limits = SearchLimits(prng_samples=3)
+    plan = _seed_plan(rep.n, limits)
     closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), plan.seeds)
     first = list(itertools.islice(closures.masks(plan), 2))
     assert len(drawn) == len(closures.set_masks) == 2
     full = list(closures.masks(plan))
-    assert len(full) == len(drawn) == len(plan.sets) == len(list(_all_seeds(rep, plan.limits)))
+    assert len(full) == len(drawn) == len(plan.sets) == len(list(_all_seeds(rep, limits)))
     assert list(itertools.islice(closures.masks(plan), 2)) == first
     assert list(closures.masks(plan)) == full
     assert [seed_set for _, seed_set in drawn] == plan.sets
@@ -617,10 +619,10 @@ def test_a_draw_that_raises_leaves_the_plan_whole(drawn, monkeypatch):
     grid = representation._grid_directions
     failures = [RuntimeError("draw interrupted")]
 
-    def flaky(dim, radius):
+    def flaky(dim):
         if failures:
             raise failures.pop()
-        return grid(dim, radius)
+        return grid(dim)
 
     monkeypatch.setattr(representation, "_grid_directions", flaky)
     with pytest.raises(RuntimeError):
@@ -628,7 +630,7 @@ def test_a_draw_that_raises_leaves_the_plan_whole(drawn, monkeypatch):
     assert destabilizer_search(rep, (0, 0), limits) == expected
     _plans.cache_clear()
 
-    def broken(dim, radius):
+    def broken(dim):
         raise RuntimeError("draw broken")
 
     monkeypatch.setattr(representation, "_grid_directions", broken)
@@ -642,8 +644,7 @@ def test_search_limits_take_only_ints(drawn, bad):
     """A limit that is not an int is refused when the limits are built,
     whether or not a search with equal int limits has run before."""
     rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ()), (1, 1))
-    for field in ("budget", "max_subset_seeds", "prng_samples", "seed",
-                  "grid_radius", "grid_dim_cap", "max_grid_tuples"):
+    for field in ("budget", "prng_samples", "seed"):
         with pytest.raises(TypeError, match=f"SearchLimits.{field} must be an int"):
             SearchLimits(**{field: bad})
         limits = SearchLimits(**{field: 8})

@@ -119,6 +119,10 @@ class TestLoadScenario:
         (("decomposition", 0, "multiplicity"), "$.decomposition[0].multiplicity", 1.5),
         (("filtrations", "F", 0, "weight"), "$.filtrations.F[0].weight", "x"),
         (("budgets", "box_bound"), "$.budgets.box_bound", 2.5),
+        (("decomposition", 0, "multiplicity"), "$.decomposition[0].multiplicity", True),
+        (("budgets", "search_budget"), "$.budgets.search_budget", True),
+        (("representations", "R", "n", 0), "$.representations.R", 1.5),
+        (("representations", "R", "n", 1), "$.representations.R", False),
     ])
     def test_non_integer_is_a_violation(self, field, path, value):
         doc = base_doc()
@@ -130,6 +134,14 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc)
         assert (path, f"not an integer: {value!r}") in err.value.violations
+
+    def test_dimension_vector_string_is_a_violation(self):
+        # Iterating a string would read "11" as the dimension vector (1, 1).
+        doc = base_doc()
+        doc["representations"]["R"]["n"] = "11"
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert ("$.representations.R", "expected {n, x, y}") in err.value.violations
 
     @pytest.mark.parametrize("field,path", [
         (("decomposition", 0, "vector"), "$.decomposition[0].vector"),
@@ -545,8 +557,10 @@ class TestMainEntry:
         rc = main(["--scenario", str(path), "quiver", "dim", "--n", "a,b"])
         assert rc == 2
         # A non-list term or coefficient list and an infinite coefficient
-        # used to escape as TypeError and OverflowError tracebacks.
-        for terms in ("5", "[[1,5]]", "[[1,[1e400]]]", "[[1]]", '[["a",[1]]]'):
+        # used to escape as TypeError and OverflowError tracebacks; a
+        # fractional, boolean or string entry used to be truncated or split.
+        for terms in ("5", "[[1,5]]", "[[1,[1e400]]]", "[[1]]", '[["a",[1]]]',
+                      "[[1.5,[1,2]]]", '[[1,"12"]]', "[[true,[1,2]]]", "[[1,[2.9]]]"):
             capsys.readouterr()
             rc = main(["--scenario", str(path), "stability", "classical-weight", terms, "5"])
             assert rc == 2

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
+from quivermoduli import SearchLimits
 from quivermoduli.cli import COMMANDS
+from quivermoduli.scenario import DEFAULT_BUDGETS, load_scenario
 
 from genutil import stratum_corpus
 
@@ -92,6 +95,21 @@ def test_library_has_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unused == []
+
+
+def test_search_limits_are_the_scenario_search_keys():
+    # Every field of SearchLimits comes from a scenario budget key with
+    # the same default, so a search has no setting that a scenario cannot
+    # set and digest; the seed plan's fixed shape stays constants.
+    scenario = load_scenario({"lattice": {"gram": [[2]]}})
+    scenario.budgets = {key: 10**6 + k for k, key in enumerate(DEFAULT_BUDGETS)}
+    limits = scenario.search_limits()
+    key_of = {value: key for key, value in scenario.budgets.items()}
+    sources = {field.name: key_of.get(getattr(limits, field.name))
+               for field in dataclasses.fields(SearchLimits)}
+    assert None not in sources.values(), sources
+    assert {name: DEFAULT_BUDGETS[key] for name, key in sources.items()} == {
+        field.name: field.default for field in dataclasses.fields(SearchLimits)}
 
 
 def test_lattice_imports_nothing_from_fractions():

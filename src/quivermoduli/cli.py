@@ -114,16 +114,6 @@ def _filtration(sc: Scenario, name: str) -> WeightedFiltration:
     return WeightedFiltration(tuple((w, _vector(sc, v)) for w, v in steps))
 
 
-def _terms(sc: Scenario, text: str) -> list[list]:
-    terms = json.loads(text)
-    # Exact ints only: true, 1.5 or "12" would be read as 1, 1 or [1, 2].
-    if not isinstance(terms, list) or not all(
-            isinstance(term, list) and len(term) == 2 and isinstance(term[1], list)
-            and all(type(x) is int for x in [term[0], *term[1]]) for term in terms):
-        raise ValueError(f"terms must be [[weight, [coefficients]], ...] of integers, not {text}")
-    return terms
-
-
 # argument or flag name -> its lookup (scenario, string) -> library value
 _LOOKUPS: dict[str, Callable] = {
     "a": _vector,
@@ -138,7 +128,7 @@ _LOOKUPS: dict[str, Callable] = {
     "samples": _entries(_function),
     "alpha": _ints,
     "n": _ints,
-    "terms": _terms,
+    "terms": lambda sc, text: json.loads(text),  # classical_git_weight checks it
     "ell": lambda sc, text: int(text),
 }
 
@@ -360,25 +350,24 @@ def _h_wall_classify_tss(sc, ov, v, z0=None):
 
 
 def _verdict_obj(verdict) -> dict:
-    """Wire form of a stratum verdict."""
+    """Wire form of a stratum verdict, JSON-ready as built (classes as
+    coordinate tuples, an absent w or leaf as None) for one to_wire pass."""
     if isinstance(verdict, stratum.HasStableDeformation):
-        obj = {"kind": verdict.kind, "summands": verdict.summand_indices, "via": verdict.via}
-    elif isinstance(verdict, stratum.TotallySemistableShape):
-        obj = {
+        return {"kind": verdict.kind, "summands": verdict.summand_indices, "via": verdict.via}
+    if isinstance(verdict, stratum.TotallySemistableShape):
+        return {
             "kind": verdict.kind,
-            "w": verdict.w,
-            "spheres": verdict.spheres,
-            "leaf": verdict.leaf,
+            "w": verdict.w and verdict.w.coords,
+            "spheres": [s.coords for s in verdict.spheres],
+            "leaf": verdict.leaf and verdict.leaf.coords,
         }
-    elif isinstance(verdict, stratum.ProductSplit):
-        obj = {"kind": verdict.kind, "factors": [_factor_obj(f) for f in verdict.factors]}
-    else:
-        obj = {"kind": verdict.kind, "reason": verdict.reason}
-    return to_wire(obj)
+    if isinstance(verdict, stratum.ProductSplit):
+        return {"kind": verdict.kind, "factors": [_factor_obj(f) for f in verdict.factors]}
+    return {"kind": verdict.kind, "reason": verdict.reason}
 
 
 def _factor_obj(factor) -> dict:
-    return {"kind": factor.kind, "class": factor.v, "multiplicity": factor.multiplicity}
+    return {"kind": factor.kind, "class": factor.v.coords, "multiplicity": factor.multiplicity}
 
 
 def _h_stratum_analyze(sc, ov):

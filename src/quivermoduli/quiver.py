@@ -142,18 +142,14 @@ class ExtQuiver:
 
     def components(self, vertices: Optional[Iterable[int]] = None) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying graph restricted to
-        ``vertices`` (all vertices when omitted)."""
-        remaining = set(range(self.num_vertices)) if vertices is None else set(vertices)
+        ``vertices`` (all vertices when omitted), by lowest vertex."""
+        rest = sum(1 << v for v in set(range(self.num_vertices) if vertices is None else vertices))
         comps = []
-        while remaining:
-            comp, frontier = set(), [min(remaining)]
-            while frontier:
-                cur = frontier.pop()
-                comp.add(cur)
-                remaining.discard(cur)
-                frontier.extend(v for v in self.adjacent(cur) if v in remaining)
-            comps.append(tuple(sorted(comp)))
-        return tuple(sorted(comps))
+        while rest:
+            comp = _closure(self, rest)
+            comps.append(tuple(i for i in range(comp.bit_length()) if comp >> i & 1))
+            rest ^= comp
+        return tuple(comps)
 
 
 def build_ext_quiver(decomp: PolystableDecomposition) -> ExtQuiver:
@@ -180,28 +176,53 @@ def _check_length(q: ExtQuiver, n: Iterable[int]) -> DimVector:
     return n
 
 
+def _closure(q: ExtQuiver, mask: int) -> int:
+    """The vertices of a bitmask that its lowest vertex reaches inside it,
+    expanding only the vertices reached in the last step."""
+    nbrs = q._neighbour_masks
+    reached = frontier = mask & -mask
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & mask & ~reached
+        reached |= frontier
+    return reached
+
+
 def _support(q: ExtQuiver, mask: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
     """Whether the vertices of a support bitmask span a connected graph,
     and the nonzero terms (i, j, c), i <= j, of the quadratic form on
     them (c = D_ii, or 2 D_ij off the diagonal); cached per quiver."""
     known = q._supports
     if mask not in known:
-        # Grow the lowest vertex inside the mask, expanding only the
-        # vertices reached in the last step.
-        nbrs = q._neighbour_masks
-        reached = frontier = mask & -mask
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= nbrs[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & mask & ~reached
-            reached |= frontier
-        known[mask] = bool(mask) and reached == mask, tuple(
+        known[mask] = bool(mask) and _closure(q, mask) == mask, tuple(
             term for pair, term in q._terms if pair & mask == pair
         )
     return known[mask]
+
+
+def _root_p(q: ExtQuiver, alpha: DimVector, mask: int) -> int:
+    """p(alpha) = quadratic_form(alpha) / 2 + 1 if alpha >= 0, of support bitmask
+    ``mask``, is a positive root in the working sense (connected, p >= 0), else -1."""
+    connected, terms = _support(q, mask)
+    p = sum(c * alpha[i] * alpha[j] for i, j, c in terms) // 2 + 1 if connected else -1
+    return p if p >= 0 else -1
+
+
+def _cells(q: ExtQuiver, n: DimVector, budget: int):
+    """Each nonzero cell alpha <= n in lex order with its _root_p, once the box is
+    within the budget; a product over per-coordinate bits gives the masks."""
+    box = prod(b + 1 for b in n)
+    if box > budget:
+        raise BudgetExceededError(f"root box of size {box} exceeds the budget {budget}")
+    bits = ([0] + [1 << i] * b for i, b in enumerate(n))
+    cells = zip(itertools.product(*(range(b + 1) for b in n)), itertools.product(*bits))
+    next(cells, None)  # the zero cell
+    for alpha, mask in cells:
+        yield alpha, _root_p(q, alpha, sum(mask))
 
 
 def quadratic_form(q: ExtQuiver, n: Iterable[int]) -> int:
@@ -233,37 +254,15 @@ def is_positive_root(q: ExtQuiver, alpha: Iterable[int], n: Iterable[int]) -> bo
     n = _check_length(q, n)
     if all(a == 0 for a in alpha):
         raise DegenerateValueError("the zero vector is not a root candidate")
-    if any(a < 0 or a > b for a, b in zip(alpha, n)):
-        return False
-    connected, _ = _support(q, sum(1 << i for i, a in enumerate(alpha) if a))
-    return connected and quadratic_form(q, alpha) + 2 >= 0
-
-
-def _roots_with_forms(q: ExtQuiver, n: DimVector, budget: int) -> list[tuple[DimVector, int]]:
-    """Every positive root alpha <= n in lexicographic order, with its
-    quadratic form.  A second product over the per-coordinate bits
-    walks the box in step and gives each cell's support mask."""
-    box = prod(b + 1 for b in n)
-    if box > budget:
-        raise BudgetExceededError(f"root box of size {box} exceeds the budget {budget}")
-    bits = ([0] + [1 << i] * b for i, b in enumerate(n))
-    cells = zip(itertools.product(*(range(b + 1) for b in n)), itertools.product(*bits))
-    next(cells, None)  # the zero cell
-    out = []
-    for alpha, mask in cells:
-        connected, terms = _support(q, sum(mask))
-        if connected:
-            form = sum(c * alpha[i] * alpha[j] for i, j, c in terms)
-            if form >= -2:
-                out.append((alpha, form))
-    return out
+    return (all(0 <= a <= b for a, b in zip(alpha, n))
+            and _root_p(q, alpha, sum(1 << i for i, a in enumerate(alpha) if a)) >= 0)
 
 
 def enumerate_positive_roots(
     q: ExtQuiver, n: Iterable[int], budget: int = DEFAULT_ROOT_BUDGET
 ) -> tuple[DimVector, ...]:
     """All positive roots alpha <= n, in lexicographic order."""
-    return tuple(alpha for alpha, _ in _roots_with_forms(q, _check_length(q, n), budget))
+    return tuple(alpha for alpha, p in _cells(q, _check_length(q, n), budget) if p >= 0)
 
 
 @dataclass(frozen=True)
@@ -284,37 +283,29 @@ def _splitting_table(q: ExtQuiver, n: DimVector, budget: int) -> tuple:
     (packed m -> the largest total p over splittings of m into positive
     roots, m alone counting when in Sigma_0), the roots (packed -> (root,
     p)) and Sigma_0 as (packed, p), both in lex order, and the guards."""
-    box = prod(b + 1 for b in n)
-    if box > budget:
-        raise BudgetExceededError(f"root box of size {box} exceeds the budget {budget}")
     # A cell packs into one int, coordinate 0 highest, in fields topped by
     # a guard bit: packed order is lex order, and m - beta >= 0 iff (packed(m)
     # | guards) - packed(beta) keeps every guard, the rest packed(m - beta).
     width = max(n).bit_length() + 1
     shifts = [width * i for i in reversed(range(len(n)))]
     guards = sum(1 << (s + width - 1) for s in shifts)
-    walk = zip(itertools.product(*(range(b + 1) for b in n)),
-               itertools.product(*([0] + [1 << i] * b for i, b in enumerate(n))),
-               itertools.product(*([a << s for a in range(b + 1)] for b, s in zip(n, shifts))))
-    next(walk)  # the zero cell
+    packed = itertools.product(*([a << s for a in range(b + 1)] for b, s in zip(n, shifts)))
+    next(packed)  # the zero cell, which _cells skips
     value, roots, sigma0 = {0: 0}, {}, []
-    for alpha, mask, fields in walk:
+    for (alpha, p), fields in zip(_cells(q, n, budget), packed):
         m = sum(fields)
         top, x = -1, m | guards
-        for pb, p in sigma0:
+        for pb, p_beta in sigma0:
             rest = x - pb
             if rest & guards == guards:
-                v = p + value[rest ^ guards]
+                v = p_beta + value[rest ^ guards]
                 if v > top:
                     top = v
-        connected, terms = _support(q, sum(mask))
-        if connected:
-            p = sum(c * alpha[i] * alpha[j] for i, j, c in terms) // 2 + 1
-            if p >= 0:
-                roots[m] = alpha, p
-                if p > top:  # a root beating its best splitting is in Sigma_0
-                    sigma0.append((m, p))
-                    top = p
+        if p >= 0:
+            roots[m] = alpha, p
+            if p > top:  # a root beating its best splitting is in Sigma_0
+                sigma0.append((m, p))
+                top = p
         value[m] = top
     return value, roots, sigma0, guards
 
@@ -332,7 +323,7 @@ def simple_rep_exists(
     n = _check_length(q, n)
     if all(x == 0 for x in n):
         raise DegenerateValueError("the zero dimension vector has no representations")
-    if not is_positive_root(q, n, n):
+    if min(n) < 0 or _root_p(q, n, sum(1 << i for i, x in enumerate(n) if x)) < 0:
         return SimpleRepVerdict(False, reason="not a positive root")
     value, roots, sigma0, guards = _splitting_table(q, n, budget)
     pn = next(reversed(value))

@@ -78,14 +78,23 @@ def _wire(obj):
 
 
 def _parse_int(raw, path: str, violations: list) -> int:
-    try:
-        value = None if isinstance(raw, bool) else int(raw)
-    except (ValueError, TypeError, OverflowError):
-        value = None
-    if value is None or (isinstance(raw, float) and value != raw):
-        violations.append((path, f"not an integer: {raw!r}"))
-        return 0
-    return value
+    # A JSON integer, or a float with an integral value; not a bool or a string.
+    if isinstance(raw, int) and not isinstance(raw, bool) or (
+            isinstance(raw, float) and raw.is_integer()):
+        return int(raw)
+    violations.append((path, f"not an integer: {raw!r}"))
+    return 0
+
+
+def _parse_ints(raw, path: str, violations: list):
+    """``raw`` once each entry passed _parse_int; the constructors convert."""
+    if not isinstance(raw, (list, tuple)):
+        violations.append((path, f"not a list of integers: {raw!r}"))
+        return ()
+    for x in raw:
+        if type(x) is not int:
+            _parse_int(x, path, violations)
+    return raw
 
 
 def _parse_frac(raw, path: str, violations: list) -> Fraction:
@@ -216,20 +225,27 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     lat_doc = doc.get("lattice")
     if not isinstance(lat_doc, dict) or "gram" not in lat_doc:
         raise ScenarioError([("$.lattice", "missing lattice.gram")])
+    even, rows = lat_doc.get("even", False), lat_doc["gram"]
+    if not isinstance(even, bool):
+        violations.append(("$.lattice.even", f"not a boolean: {even!r}"))
+    gram = tuple(_parse_ints(row, "$.lattice.gram", violations)
+                 for row in (rows if isinstance(rows, (list, tuple)) else [rows]))
+    if violations:
+        raise ScenarioError(violations)
     try:
-        lattice = GramLattice(
-            tuple(tuple(row) for row in lat_doc["gram"]),
-            even=bool(lat_doc.get("even", False)),
-        )
-    except (QuiverModuliError, TypeError, ValueError, OverflowError) as exc:
+        lattice = GramLattice(gram, even=even)
+    except QuiverModuliError as exc:
         raise ScenarioError([("$.lattice.gram", str(exc))])
 
     vectors: dict[str, LatticeVector] = {}
     for name, coords in _section(doc, "vectors", "coords", violations).items():
-        try:
-            vectors[name] = lattice.vector(coords)
-        except (QuiverModuliError, TypeError, ValueError, OverflowError) as exc:
-            violations.append((f"$.vectors.{name}", str(exc)))
+        path, found = f"$.vectors.{name}", len(violations)
+        coords = _parse_ints(coords, path, violations)
+        if len(violations) == found:
+            try:
+                vectors[name] = lattice.vector(coords)
+            except QuiverModuliError as exc:
+                violations.append((path, str(exc)))
 
     decomposition = None
     dec_doc = doc.get("decomposition")
@@ -314,9 +330,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             violations.append(("$.quiver", "expected {loops, arrows} with arrows [i, j, m]"))
         else:
             found = len(violations)
-            loops = tuple(_parse_int(g, "$.quiver", violations) for g in loops)
-            arrows = tuple(tuple(_parse_int(x, "$.quiver", violations) for x in a)
-                           for a in arrows)
+            loops = _parse_ints(loops, "$.quiver", violations)
+            arrows = tuple(_parse_ints(a, "$.quiver", violations) for a in arrows)
             if len(violations) == found:
                 try:
                     quiver = ExtQuiver(loops, arrows)

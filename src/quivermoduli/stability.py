@@ -353,16 +353,20 @@ def theta_unstable(
 def classical_git_weight(
     weighted_polynomials: Sequence[tuple[int, Sequence[int]]], ell: int
 ) -> int:
-    """One-parameter weight sum(w * P_w(ell)) for integer-coefficient
-    Hilbert polynomials P_w given in ascending coefficient order."""
+    """One-parameter weight sum(w * P_w(ell)) for Hilbert polynomials P_w,
+    given as (w, ascending coefficients) of exact ints, never bools."""
     if ell < 0:
         raise ValueError("the evaluation point must be >= 0")
+    if not isinstance(weighted_polynomials, (list, tuple)) or not all(
+            isinstance(t, (list, tuple)) and len(t) == 2 and isinstance(t[1], (list, tuple))
+            and all(type(x) is int for x in (t[0], *t[1])) for t in weighted_polynomials):
+        raise ValueError(f"terms must be (int, [ints]) pairs, not {weighted_polynomials!r}")
     out = 0
     for w, coeffs in weighted_polynomials:
         value = 0
-        for c in reversed(tuple(int(x) for x in coeffs)):
+        for c in reversed(coeffs):
             value = value * ell + c
-        out += int(w) * value
+        out += w * value
     return out
 
 

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+# tests/ for genutil; bench/ for the benchmark's independent oracles.
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
 
 from quivermoduli import GramLattice
 

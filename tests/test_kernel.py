@@ -44,6 +44,7 @@ from quivermoduli import (
     detect_totally_semistable,
     enumerate_positive_roots,
     find_isotropic,
+    is_positive_root,
     moment_map,
     on_slice,
     pairing,
@@ -64,6 +65,7 @@ from genutil import (
     reference_to_character,
     reference_wall_correspondence_holds,
 )
+from oracles import positive_roots, qform
 
 
 def filtered_box(rank, bound):
@@ -626,36 +628,6 @@ def test_roots_and_splitting_table_match_recorded_digest():
     assert digest == ROOT_TABLE_DIGEST
 
 
-def brute_quadratic_form(q, alpha):
-    """sum_i (2 g_i - 2) a_i^2 + 2 sum_{i<j} m_ij a_i a_j."""
-    value = sum((2 * g - 2) * a * a for g, a in zip(q.loops, alpha))
-    return value + sum(2 * m * alpha[i] * alpha[j] for i, j, m in q.arrows)
-
-
-def brute_connected(q, support):
-    """Union-find over the arrows with both ends in ``support``."""
-    parent = {i: i for i in support}
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i, j, _ in q.arrows:
-        if i in parent and j in parent:
-            parent[find(i)] = find(j)
-    return len({find(i) for i in support}) == 1
-
-
-def brute_roots(q, n):
-    return tuple(
-        alpha for alpha in itertools.product(*(range(b + 1) for b in n))
-        if any(alpha)
-        and brute_connected(q, [i for i, a in enumerate(alpha) if a])
-        and brute_quadratic_form(q, alpha) + 2 >= 0
-    )
-
-
 def root_multisets(roots, rest, start=0):
     """Every multiset of ``roots[start:]`` summing to ``rest``, each
     listed once with its parts in nondecreasing index order."""
@@ -688,13 +660,13 @@ def oracle_cases():
 
 @pytest.mark.parametrize("q,n", oracle_cases())
 def test_splitting_table_matches_multiset_oracle(q, n):
-    roots = brute_roots(q, n)
+    roots = tuple(positive_roots(q.loops, q.arrows, n))
     assert enumerate_positive_roots(q, n) == roots
     verdict = simple_rep_exists(q, n)
     if n not in roots:
         assert verdict_fields(verdict) == (False, "not a positive root", None)
         return
-    p = {beta: brute_quadratic_form(q, beta) // 2 + 1 for beta in roots}
+    p = {beta: qform(q.loops, q.arrows, beta) // 2 + 1 for beta in roots}
     values = [
         sum(p[beta] for beta in parts)
         for parts in root_multisets(roots, n) if len(parts) >= 2
@@ -712,6 +684,15 @@ def test_splitting_table_matches_multiset_oracle(q, n):
     assert verdict.reason == (
         f"splitting drops no parameters: p{n} = {p[n]} <= {best} = sum over parts"
     )
+
+
+def test_is_positive_root_matches_oracle_roots():
+    # Every cell beta <= n, n included, of every oracle case.
+    for q, n in oracle_cases():
+        roots = set(positive_roots(q.loops, q.arrows, n))
+        for beta in itertools.product(*(range(b + 1) for b in n)):
+            if any(beta):
+                assert is_positive_root(q, beta, n) == (beta in roots), (q, n, beta)
 
 
 def splitting_cases():

@@ -214,8 +214,29 @@ def support_quivers():
                 if rng.random() < 0.4))
 
 
+def union_find_components(q, verts):
+    """The partition of ``verts`` by the arrows with both ends in it, by
+    union-find, sorted as ``components`` sorts it."""
+    parent = {i: i for i in verts}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j, _ in q.arrows:
+        if i in parent and j in parent:
+            parent[find(i)] = find(j)
+    blocks = {}
+    for i in verts:
+        blocks.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(sorted(block)) for block in blocks.values()))
+
+
 class TestSupportTable:
     def test_every_mask_matches_components_and_the_term_scan(self):
+        # _support and components run the same closure, so components is
+        # also held to a partition computed apart from the library.
         for q in support_quivers():
             s = q.num_vertices
             for mask in range(1 << s):
@@ -223,7 +244,9 @@ class TestSupportTable:
                 connected, terms = _support(q, mask)
                 assert (connected, terms) == reference_support(q, mask)
                 assert connected == (len(q.components(verts)) == 1)
+                assert q.components(verts) == union_find_components(q, verts)
                 assert _support(q, mask) is _support(q, mask)
+            assert q.components() == union_find_components(q, range(s))
         assert _support(ExtQuiver((1,), ()), 0) == (False, ())
 
 

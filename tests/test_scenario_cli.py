@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from quivermoduli import cli
 from quivermoduli.cli import COMMANDS, Overrides, main, run_command
 from quivermoduli.errors import BudgetExceededError, ScenarioError, UnknownCommandError
-from quivermoduli.scenario import MAX_PRNG_SAMPLES, MAX_REP_SQUARES, load_scenario
+from quivermoduli.scenario import MAX_PRNG_SAMPLES, MAX_REP_SQUARES, load_scenario, to_wire
 
 
 def base_doc():
@@ -96,6 +96,52 @@ class TestLoadScenario:
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(ScenarioError):
             load_scenario({"lattice": {"gram": [[0, 1], [2, 0]]}, "vectors": {}})
+
+    @pytest.mark.parametrize("field,path,value", [
+        (("lattice", "gram", 0, 1), "$.lattice.gram", 1.5),
+        (("lattice", "gram", 1, 1), "$.lattice.gram", True),
+        (("lattice", "gram", 1, 0), "$.lattice.gram", "1"),
+        (("vectors", "v", 0), "$.vectors.v", 1.5),
+        (("vectors", "v", 1), "$.vectors.v", True),
+        (("vectors", "v", 0), "$.vectors.v", "1"),
+    ])
+    def test_lattice_entry_is_read_as_an_exact_int(self, field, path, value):
+        # int() would read the Gram [[2, 1.5], [1.5, -2]] as ((2, 1), (1, -2)),
+        # and the vectors [1.5, true] and ["1", 2] as (1, 1) and (1, 2).
+        doc = base_doc()
+        *parents, key = field
+        entry = doc
+        for part in parents:
+            entry = entry[part]
+        entry[key] = value
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert (path, f"not an integer: {value!r}") in err.value.violations
+
+    @pytest.mark.parametrize("gram", [5, [5], ["12"]])
+    def test_gram_rows_must_be_lists(self, gram):
+        doc = base_doc()
+        doc["lattice"]["gram"] = gram
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert [path for path, _ in err.value.violations] == ["$.lattice.gram"]
+
+    def test_vector_string_is_a_violation(self):
+        # Iterating a string would read "11" as the coordinates (1, 1).
+        doc = base_doc()
+        doc["vectors"]["v"] = "11"
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert ("$.vectors.v", "not a list of integers: '11'") in err.value.violations
+
+    @pytest.mark.parametrize("even", ["no", 0, 1, None, "true"])
+    def test_even_must_be_a_json_boolean(self, even):
+        # bool("no") is True, so reading the flag with bool() declares it.
+        doc = base_doc()
+        doc["lattice"]["even"] = even
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert err.value.violations == [("$.lattice.even", f"not a boolean: {even!r}")]
 
     @pytest.mark.parametrize("section,value", [
         ("vectors", [[1, 0]]),
@@ -326,6 +372,15 @@ class TestRunCommand:
         report = run_command(scenario, "stratum analyze", {})
         assert report.results["verdict"]["kind"] == "totally_semistable_shape"
         assert report.trace[-1]["step"] == "leaf"
+
+    def test_stratum_verdict_is_encoded_once(self, scenario, monkeypatch):
+        # The handler builds its verdict JSON-ready; run_command's pass over
+        # the results is the one encoding.
+        calls = []
+        monkeypatch.setattr(cli, "to_wire", lambda obj: calls.append(obj) or to_wire(obj))
+        report = run_command(scenario, "stratum analyze", {})
+        assert len(calls) == 1
+        assert report.results["verdict"]["spheres"] == [[0, 1]]
 
     def test_classify_tss_results(self, scenario):
         report = run_command(scenario, "wall classify-tss", {"v": "v"})

@@ -124,6 +124,21 @@ def test_lattice_imports_nothing_from_fractions():
     assert found == []
 
 
+def test_root_box_budget_is_checked_once_in_the_box_walk():
+    # One lexicographic walk of the box below n serves every root question;
+    # a second copy of its budget check means a second walk.
+    sites = [
+        func.name
+        for func in ast.walk(ast.parse((SRC / "quiver.py").read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "BudgetExceededError"
+        and "root box of size" in ast.unparse(node.exc)
+    ]
+    assert sites == ["_cells"]
+
+
 def cascade_branches() -> set[tuple[str, str, tuple[str, ...]]]:
     """(step, outcome, sorted detail keys) of every ``_trace`` call in
     the stratum cascade: one per branch that ends or passes a step."""

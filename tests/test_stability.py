@@ -347,6 +347,14 @@ class TestClassicalWeight:
         with pytest.raises(ValueError):
             classical_git_weight([(1, (1,))], -1)
 
+    @pytest.mark.parametrize("terms", [
+        [(1.5, [1, 2])], [(True, [1, 2])], [(1, "12")], [(1, [2.9])],
+        5, [(1, 5)], [(1,)], [[1, [1, 2], 3]], [(1, [False])], "[[1, [1]]]",
+    ])
+    def test_non_int_term_rejected(self, terms):
+        # Each used to be truncated by int(): the first three gave 5 at ell = 2.
+        with pytest.raises(ValueError, match="terms must be"):
+            classical_git_weight(terms, 2)
 
 class TestCharacterExponents:
     def test_wall_case_all_zero(self, hyperbolic):

@@ -350,24 +350,25 @@ def _h_wall_classify_tss(sc, ov, v, z0=None):
 
 
 def _verdict_obj(verdict) -> dict:
-    """Wire form of a stratum verdict, JSON-ready as built (classes as
-    coordinate tuples, an absent w or leaf as None) for one to_wire pass."""
+    """Wire form of a stratum verdict."""
     if isinstance(verdict, stratum.HasStableDeformation):
-        return {"kind": verdict.kind, "summands": verdict.summand_indices, "via": verdict.via}
-    if isinstance(verdict, stratum.TotallySemistableShape):
-        return {
+        obj = {"kind": verdict.kind, "summands": verdict.summand_indices, "via": verdict.via}
+    elif isinstance(verdict, stratum.TotallySemistableShape):
+        obj = {
             "kind": verdict.kind,
-            "w": verdict.w and verdict.w.coords,
-            "spheres": [s.coords for s in verdict.spheres],
-            "leaf": verdict.leaf and verdict.leaf.coords,
+            "w": verdict.w,
+            "spheres": verdict.spheres,
+            "leaf": verdict.leaf,
         }
-    if isinstance(verdict, stratum.ProductSplit):
-        return {"kind": verdict.kind, "factors": [_factor_obj(f) for f in verdict.factors]}
-    return {"kind": verdict.kind, "reason": verdict.reason}
+    elif isinstance(verdict, stratum.ProductSplit):
+        obj = {"kind": verdict.kind, "factors": [_factor_obj(f) for f in verdict.factors]}
+    else:
+        obj = {"kind": verdict.kind, "reason": verdict.reason}
+    return to_wire(obj)
 
 
 def _factor_obj(factor) -> dict:
-    return {"kind": factor.kind, "class": factor.v.coords, "multiplicity": factor.multiplicity}
+    return {"kind": factor.kind, "class": factor.v, "multiplicity": factor.multiplicity}
 
 
 def _h_stratum_analyze(sc, ov):

@@ -213,16 +213,16 @@ def _root_p(q: ExtQuiver, alpha: DimVector, mask: int) -> int:
 
 
 def _cells(q: ExtQuiver, n: DimVector, budget: int):
-    """Each nonzero cell alpha <= n in lex order with its _root_p, once the box is
-    within the budget; a product over per-coordinate bits gives the masks."""
+    """Each nonzero cell alpha <= n in lex order with its _root_p; the box is
+    checked against the budget on the call, before anything is built.  A
+    product over per-coordinate bits gives the support masks."""
     box = prod(b + 1 for b in n)
     if box > budget:
         raise BudgetExceededError(f"root box of size {box} exceeds the budget {budget}")
     bits = ([0] + [1 << i] * b for i, b in enumerate(n))
     cells = zip(itertools.product(*(range(b + 1) for b in n)), itertools.product(*bits))
     next(cells, None)  # the zero cell
-    for alpha, mask in cells:
-        yield alpha, _root_p(q, alpha, sum(mask))
+    return ((alpha, _root_p(q, alpha, sum(mask))) for alpha, mask in cells)
 
 
 def quadratic_form(q: ExtQuiver, n: Iterable[int]) -> int:
@@ -286,13 +286,14 @@ def _splitting_table(q: ExtQuiver, n: DimVector, budget: int) -> tuple:
     # A cell packs into one int, coordinate 0 highest, in fields topped by
     # a guard bit: packed order is lex order, and m - beta >= 0 iff (packed(m)
     # | guards) - packed(beta) keeps every guard, the rest packed(m - beta).
+    cells = _cells(q, n, budget)  # checks the budget before the packed keys exist
     width = max(n).bit_length() + 1
     shifts = [width * i for i in reversed(range(len(n)))]
     guards = sum(1 << (s + width - 1) for s in shifts)
     packed = itertools.product(*([a << s for a in range(b + 1)] for b, s in zip(n, shifts)))
     next(packed)  # the zero cell, which _cells skips
     value, roots, sigma0 = {0: 0}, {}, []
-    for (alpha, p), fields in zip(_cells(q, n, budget), packed):
+    for (alpha, p), fields in zip(cells, packed):
         m = sum(fields)
         top, x = -1, m | guards
         for pb, p_beta in sigma0:

@@ -86,15 +86,11 @@ def _parse_int(raw, path: str, violations: list) -> int:
     return 0
 
 
-def _parse_ints(raw, path: str, violations: list):
-    """``raw`` once each entry passed _parse_int; the constructors convert."""
+def _parse_ints(raw, path: str, violations: list) -> tuple[int, ...]:
     if not isinstance(raw, (list, tuple)):
         violations.append((path, f"not a list of integers: {raw!r}"))
         return ()
-    for x in raw:
-        if type(x) is not int:
-            _parse_int(x, path, violations)
-    return raw
+    return tuple(_parse_int(x, path, violations) for x in raw)
 
 
 def _parse_frac(raw, path: str, violations: list) -> Fraction:
@@ -369,7 +365,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             violations.append((path, "expected {n, x, y}"))
             continue
         found = len(violations)
-        n = tuple(_parse_int(x, path, violations) for x in rep_doc["n"])
+        n = _parse_ints(rep_doc["n"], path, violations)
         if len(violations) > found:
             continue
         try:

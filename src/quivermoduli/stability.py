@@ -354,9 +354,9 @@ def classical_git_weight(
     weighted_polynomials: Sequence[tuple[int, Sequence[int]]], ell: int
 ) -> int:
     """One-parameter weight sum(w * P_w(ell)) for Hilbert polynomials P_w,
-    given as (w, ascending coefficients) of exact ints, never bools."""
-    if ell < 0:
-        raise ValueError("the evaluation point must be >= 0")
+    given as (w, ascending coefficients), at ell; all exact ints, never bools."""
+    if type(ell) is not int or ell < 0:
+        raise ValueError(f"the evaluation point must be an int >= 0, not {ell!r}")
     if not isinstance(weighted_polynomials, (list, tuple)) or not all(
             isinstance(t, (list, tuple)) and len(t) == 2 and isinstance(t[1], (list, tuple))
             and all(type(x) is int for x in (t[0], *t[1])) for t in weighted_polynomials):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,7 @@ from quivermoduli.errors import (
     MalformedSummandError,
 )
 
-from quivermoduli.quiver import _support
+from quivermoduli.quiver import DEFAULT_ROOT_BUDGET, _support
 
 from genutil import (
     basis_decomposition,
@@ -329,6 +330,19 @@ class TestPositiveRoots:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_positive_roots(AFFINE_A1, (100, 100), budget=100)
+
+    @pytest.mark.parametrize("n,budget", [((10**9,), DEFAULT_ROOT_BUDGET), ((10**6,), 1000)])
+    def test_budget_is_checked_before_the_box_is_built(self, n, budget):
+        # (n) is a positive root of the one-loop quiver, so the splitting
+        # table is reached; its per-coordinate key lists would hold n + 1 ints.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="root box of size"):
+                simple_rep_exists(ExtQuiver((1,), ()), n, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestSimpleRepExists:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from quivermoduli import cli
 from quivermoduli.cli import COMMANDS, Overrides, main, run_command
 from quivermoduli.errors import BudgetExceededError, ScenarioError, UnknownCommandError
-from quivermoduli.scenario import MAX_PRNG_SAMPLES, MAX_REP_SQUARES, load_scenario, to_wire
+from quivermoduli.scenario import MAX_PRNG_SAMPLES, MAX_REP_SQUARES, load_scenario
 
 
 def base_doc():
@@ -372,15 +372,6 @@ class TestRunCommand:
         report = run_command(scenario, "stratum analyze", {})
         assert report.results["verdict"]["kind"] == "totally_semistable_shape"
         assert report.trace[-1]["step"] == "leaf"
-
-    def test_stratum_verdict_is_encoded_once(self, scenario, monkeypatch):
-        # The handler builds its verdict JSON-ready; run_command's pass over
-        # the results is the one encoding.
-        calls = []
-        monkeypatch.setattr(cli, "to_wire", lambda obj: calls.append(obj) or to_wire(obj))
-        report = run_command(scenario, "stratum analyze", {})
-        assert len(calls) == 1
-        assert report.results["verdict"]["spheres"] == [[0, 1]]
 
     def test_classify_tss_results(self, scenario):
         report = run_command(scenario, "wall classify-tss", {"v": "v"})

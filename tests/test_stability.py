@@ -356,6 +356,12 @@ class TestClassicalWeight:
         with pytest.raises(ValueError, match="terms must be"):
             classical_git_weight(terms, 2)
 
+    @pytest.mark.parametrize("ell", [True, 1.5, 2.0, "2", -1])
+    def test_non_int_ell_rejected(self, ell):
+        # True and 1.5 used to give a value (the second a float).
+        with pytest.raises(ValueError, match="evaluation point"):
+            classical_git_weight([(1, [1, 2])], ell)
+
 class TestCharacterExponents:
     def test_wall_case_all_zero(self, hyperbolic):
         dec = PolystableDecomposition.of(

@@ -106,16 +106,13 @@ class ExtQuiver:
         return {}  # filled per support bitmask by _support
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        out: list[set[int]] = [set() for _ in self.loops]
-        for i, j, _ in self.arrows:
-            out[i].add(j)
-            out[j].add(i)
-        return tuple(tuple(sorted(nbrs)) for nbrs in out)
-
-    @cached_property
     def _neighbour_masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << j for j in nbrs) for nbrs in self._adjacency)
+        # Per vertex, the bitmask of its neighbours along arrows, loops aside.
+        out = [0] * self.num_vertices
+        for i, j, _ in self.arrows:
+            out[i] |= 1 << j
+            out[j] |= 1 << i
+        return tuple(out)
 
     @cached_property
     def _terms(self) -> tuple[tuple[int, tuple[int, int, int]], ...]:
@@ -135,10 +132,6 @@ class ExtQuiver:
             for k in range(m):
                 out.append(Arrow(len(out), i, j, k))
         return tuple(out)
-
-    def adjacent(self, i: int) -> tuple[int, ...]:
-        """Neighbours of vertex ``i`` along arrows, loops aside, sorted."""
-        return self._adjacency[i]
 
     def components(self, vertices: Optional[Iterable[int]] = None) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying graph restricted to

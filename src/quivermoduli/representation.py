@@ -235,7 +235,8 @@ class SearchLimits:
     subrepresentation B is charged what a worklist applying every map
     to each new vector spends: T = sum over vertices v of (dimension
     gained at v) times (number of maps leaving v), unchanged by the
-    bitmask sums of ``_SeedClosures``.  When T exceeds what remains, the
+    bitmask sums of ``_SeedClosures`` and by its stop at the whole
+    representation.  When T exceeds what remains, the
     closure raises ``BudgetExceededError`` (which
     ``jordan_holder_search`` reports as incomplete) after at most the
     per-vector closures of its own seed set.  Every search on one
@@ -327,6 +328,14 @@ class _SeedClosures:
     time it is asked for: what the worklist of the closure from B would
     spend (see ``SearchLimits``).  All of this lives as long as the
     search; only the plan is shared.
+
+    Once a seed at vertex v has closed to the whole representation, a
+    later closure whose space at v fills contains that seed, hence all
+    of cl(seed): ``_of`` stops there and returns the interned whole
+    parts, whose bit ``_bit`` hands back unkeyed.  On a generic
+    representation every closure after the first is the whole one.
+    Charges are read off dimension vectors, not off the maps a worklist
+    applied, so the shortcut leaves every charge as it was.
     """
 
     def __init__(self, rep: DoubleQuiverRep, meter: _BudgetMeter,
@@ -340,14 +349,25 @@ class _SeedClosures:
         self.set_masks: list[int] = []  # the masks of the seed sets read so far
         self.interned: dict[tuple, int] = {(): 0}  # the zero closure adds no bit
         self.parts: list[tuple[tuple[int, RowSpace, int], ...]] = []
+        self.total = sum(rep.n)
+        self.whole: Optional[tuple[tuple[int, RowSpace, int], ...]] = None  # interned parts
+        self.whole_bit: Optional[int] = None
+        self.whole_at = [False] * len(rep.n)  # vertices with a seed that closes to the whole
         # mask -> (spaces, dims, weight) of its sum
         self.sums = {0: ([RowSpace(m) for m in rep.n], [0] * len(rep.n), 0)}
 
     def _of(self, vertex: int, vec: IntVec) -> tuple[tuple[int, RowSpace, int], ...]:
         """The nonzero spaces of cl(vec at vertex) as (vertex, space,
-        dim), by iterating every map to a fixed point."""
+        dim), by iterating every map to a fixed point, or ``whole`` as
+        soon as a space fills at a vertex in ``whole_at``."""
+        whole_at = self.whole_at
         spaces = [RowSpace(m) for m in self.n]
-        worklist = [(vertex, vec)] if spaces[vertex]._absorb(vec) else []
+        space = spaces[vertex]
+        if not space._absorb(vec):
+            return ()
+        if whole_at[vertex] and space.dim == space.ambient_dim:
+            return self.whole
+        worklist = [(vertex, vec)]
         while worklist:
             vertex, vec = worklist.pop()
             for mat, target in self.out_maps[vertex]:
@@ -356,18 +376,28 @@ class _SeedClosures:
                     continue  # a full space absorbs every image
                 image = [sum(map(mul, row, vec)) for row in mat]
                 if space._absorb(image):
+                    if whole_at[target] and space.dim == space.ambient_dim:
+                        return self.whole
                     worklist.append((target, image))
         return tuple((i, space, space.dim) for i, space in enumerate(spaces) if space.dim)
 
     def _bit(self, seed: int) -> int:
         bit = self.bit_of.get(seed)
         if bit is None:
-            parts = self._of(*self.seeds[seed])
-            key = tuple((i, tuple(map(tuple, space._rows))) for i, space, _ in parts)
-            bit = self.interned.get(key)
-            if bit is None:
-                bit = self.interned[key] = 1 << len(self.parts)
-                self.parts.append(parts)
+            vertex, vec = self.seeds[seed]
+            parts = self._of(vertex, vec)
+            if parts is self.whole:
+                bit = self.whole_bit
+            else:
+                key = tuple((i, tuple(map(tuple, space._rows))) for i, space, _ in parts)
+                bit = self.interned.get(key)
+                if bit is None:
+                    bit = self.interned[key] = 1 << len(self.parts)
+                    self.parts.append(parts)
+                    if parts and sum(dim for _, _, dim in parts) == self.total:
+                        self.whole, self.whole_bit = parts, bit
+            if bit == self.whole_bit:
+                self.whole_at[vertex] = True
             self.bit_of[seed] = bit
         return bit
 

@@ -365,7 +365,7 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             violations.append((path, "expected {n, x, y}"))
             continue
         found = len(violations)
-        n = _parse_ints(rep_doc["n"], path, violations)
+        n = _parse_ints(rep_doc["n"], f"{path}.n", violations)
         if len(violations) > found:
             continue
         try:

@@ -9,10 +9,12 @@ a digest recorded from the ``Fraction`` closure.  The searches build
 each closure as a sum of interned per-vector closures, one bit each,
 memoised per seed-set mask; that sum is checked against the iterated
 closure ``genutil.reference_closure`` in spaces and in budget charged.
-The seed sets come from one lazily drawn plan shared per dimension
-vector, PRNG sample count and seed; it is checked against copies of the
-seed generators the searches used before, and for laziness, sharing and
-concurrent readers.
+Once a seed has closed to the whole representation, a closure that
+fills that seed's vertex stops as the whole one; the closures after it
+are checked against the same reference.  The seed sets come from one
+lazily drawn plan shared per dimension vector, PRNG sample count and
+seed; it is checked against copies of the seed generators the searches
+used before, and for laziness, sharing and concurrent readers.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genutil import (
@@ -55,6 +57,7 @@ from quivermoduli.representation import (
     _SeedClosures,
     _seed_plan,
     _SeedPlan,
+    _unit,
 )
 
 
@@ -281,6 +284,156 @@ def test_sum_of_closures_matches_reference(case, slack):
     budget = expected_meter.used + slack
     assert charge(build, budget) == charge(
         lambda m: reference_closure(out_maps, rep.n, seeds, m, base_spaces), budget)
+
+
+def reference_parts(rep, vertex, vec):
+    """cl(vec at vertex) by the iterated closure, as the (vertex, basis,
+    dim) of its nonzero spaces."""
+    spaces = reference_closure(_out_maps(rep), rep.n, [(vertex, vec)], _BudgetMeter(UNMETERED))
+    return [(i, space.basis(), space.dim) for i, space in enumerate(spaces) if space.dim]
+
+
+def parts_of(closures, seed):
+    """The (vertex, basis, dim) of the parts ``closures`` holds for one
+    seed, closed through ``_bit``."""
+    bit = mask_of(closures, [seed])
+    parts = closures.parts[bit.bit_length() - 1] if bit else ()
+    return [(i, space.basis(), dim) for i, space, dim in parts]
+
+
+def whole_seed(rep):
+    """The first standard basis seed whose closure is the whole
+    representation, or None."""
+    for vertex, m in enumerate(rep.n):
+        for k in range(m):
+            if sum(dim for _, _, dim in reference_parts(rep, vertex, _unit(m, k))) == sum(rep.n):
+                return vertex, _unit(m, k)
+    return None
+
+
+@st.composite
+def after_whole_cases(draw):
+    """A representation with integer, rational or {-1, 0, 1} entries and
+    a seed that closes to all of it, then later seeds: fresh, zero and
+    scaled copies of earlier ones."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integer", "rational", "grid"]))
+    if kind == "rational":
+        rep = random_rep(rng, max_total_dim=6, max_denominator=3)
+    else:
+        rep = random_rep(rng, max_total_dim=6, grid_entries=kind == "grid")
+    first = whole_seed(rep)
+    assume(first is not None)
+    vertices = st.sampled_from([v for v, m in enumerate(rep.n) if m])
+    seeds = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "zero", "scaled"]))
+        if kind == "scaled" and seeds:
+            v, vec = draw(st.sampled_from(seeds))
+            c = draw(st.sampled_from([-2, -1, 3]))
+            seeds.append((v, tuple(c * x for x in vec)))
+        else:
+            v = draw(vertices)
+            entries = st.integers(0, 0) if kind == "zero" else st.integers(-3, 3)
+            seeds.append((v, tuple(draw(st.lists(entries, min_size=rep.n[v], max_size=rep.n[v])))))
+    return rep, first, seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=after_whole_cases())
+def test_closures_after_a_whole_one_match_reference(case):
+    rep, first, seeds = case
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [])
+    assert closures.sums[mask_of(closures, [first])][1] == list(rep.n)
+    for vertex, vec in seeds:
+        assert parts_of(closures, (vertex, vec)) == reference_parts(rep, vertex, vec)
+
+
+def test_vertex_of_dimension_one_is_whole_on_its_own_absorb(monkeypatch):
+    """With a whole seed at a vertex of dimension 1, any nonzero vector
+    there fills it at once: no map is applied."""
+    quiver = ExtQuiver((0, 0), ((0, 1, 2),))
+    rep = DoubleQuiverRep(quiver, (1, 2), (((1,), (0,)), ((0,), (1,))), (((1, 0),), ((0, 1),)))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [(0, (1,)), (0, (-3,))])
+    whole = closures.parts[closures._bit(0).bit_length() - 1]
+    assert sum(dim for _, _, dim in whole) == 3
+    calls = []
+    absorb = RowSpace._absorb
+    monkeypatch.setattr(RowSpace, "_absorb", lambda self, w: calls.append(w) or absorb(self, w))
+    assert closures._of(0, (-3,)) is whole and calls == [(-3,)]
+    assert closures._bit(1) == closures._bit(0)
+
+
+def test_zero_seed_is_the_zero_closure_before_and_after_a_whole_one():
+    quiver = ExtQuiver((0, 0), ((0, 1, 1),))
+    rep = DoubleQuiverRep(quiver, (1, 1), (((1,),),), (((1,),),))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [])
+    assert mask_of(closures, [(0, (0,))]) == 0 and closures.parts == []
+    whole = mask_of(closures, [(1, (1,))])
+    assert closures.sums[whole][1] == [1, 1]
+    assert mask_of(closures, [(1, (0,))]) == 0 and len(closures.parts) == 1
+    assert mask_of(closures, [(0, (5,))]) == whole
+
+
+def test_planted_closures_stay_proper_after_a_whole_one():
+    """The maps keep span(e_0) + V_1, a subrepresentation that fills
+    vertex 1, so the closures of e_0 and of V_1 stay proper, although
+    e_1 at vertex 0 closes to the whole representation; a vector outside
+    the planted part still closes to the whole one."""
+    quiver = ExtQuiver((0, 0), ((0, 1, 1),))
+    rep = DoubleQuiverRep(quiver, (2, 1), (((1, 1),),), (((1,), (0,)),))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [])
+    assert closures.sums[mask_of(closures, [(0, (0, 1))])][1] == [2, 1]
+    seeds = [(0, (1, 0)), (1, (1,)), (1, (-2,)), (0, (1, 1)), (0, (3, 1))]
+    got = [parts_of(closures, seed) for seed in seeds]
+    assert got == [reference_parts(rep, *seed) for seed in seeds]
+    assert [sum(dim for _, _, dim in parts) for parts in got] == [2, 2, 2, 3, 3]
+
+
+def test_rep_without_arrows():
+    """One vertex of dimension 1 closes to the whole representation from
+    any nonzero vector; two vertices never do."""
+    rep = DoubleQuiverRep.zero(ExtQuiver((0,), ()), (1,))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [])
+    assert mask_of(closures, [(0, (1,))]) == mask_of(closures, [(0, (-2,))]) == 1
+    assert len(closures.parts) == 1
+    rep = DoubleQuiverRep.zero(ExtQuiver((0, 0), ()), (1, 1))
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), [])
+    for seed in [(0, (1,)), (1, (1,)), (0, (-2,))]:
+        assert parts_of(closures, seed) == reference_parts(rep, *seed)
+    assert closures.sums[mask_of(closures, [(0, (1,)), (1, (1,))])][1] == [1, 1]
+
+
+def test_closure_after_the_first_basis_seed_is_the_interned_whole(monkeypatch):
+    """On a dense representation of the benchmark menu's (2, 2, 2)
+    quiver, the first basis seed generates everything; every later seed
+    then closes to the same interned parts with fewer absorbed vectors
+    than a closure run to its fixed point."""
+    rng = random.Random(7)
+    quiver = ExtQuiver((0, 0, 0), ((0, 1, 2), (1, 2, 1)))
+
+    def dense(rows, cols):
+        return tuple(tuple(Q(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(cols))
+                     for _ in range(rows))
+
+    arrows = quiver.arrow_list()
+    rep = DoubleQuiverRep(quiver, (2, 2, 2), tuple(dense(2, 2) for _ in arrows),
+                          tuple(dense(2, 2) for _ in arrows))
+    seeds = _seed_plan(rep.n, SearchLimits()).seeds
+    closures = _SeedClosures(rep, _BudgetMeter(UNMETERED), seeds)
+    whole = closures.parts[closures._bit(0).bit_length() - 1]
+    assert sum(dim for _, _, dim in whole) == 6
+    calls = []
+    absorb = RowSpace._absorb
+    monkeypatch.setattr(RowSpace, "_absorb", lambda self, w: calls.append(w) or absorb(self, w))
+    for seed in range(1, 6):
+        del calls[:]
+        assert closures._of(*seeds[seed]) is whole
+        shortcut = len(calls)
+        del calls[:]
+        fresh = _SeedClosures(rep, _BudgetMeter(UNMETERED), seeds)._of(*seeds[seed])
+        assert sum(dim for _, _, dim in fresh) == 6
+        assert shortcut < len(calls)
 
 
 def test_budget_of_exactly_the_charge_completes(monkeypatch):

@@ -263,14 +263,15 @@ class TestExtQuiverCaches:
 
     def test_adjacency_built_once(self):
         q = ExtQuiver((2, 0, 0, 1), ((0, 2, 1), (1, 2, 3), (0, 1, 0)))
-        assert [q.adjacent(i) for i in range(4)] == [(2,), (2,), (0, 1), ()]
-        assert q.adjacent(2) is q.adjacent(2)
+        assert q._neighbour_masks == (0b100, 0b100, 0b011, 0)
+        assert q._neighbour_masks is q._neighbour_masks
+        assert not hasattr(q, "adjacent") and not hasattr(q, "_adjacency")
         assert q.components() == ((0, 1, 2), (3,))
         assert q.components([0, 1, 3]) == ((0,), (1,), (3,))
 
     def test_identity_is_the_fields_alone(self):
         used, fresh = ExtQuiver((1, 0), ((0, 1, 2),)), ExtQuiver((1, 0), ((0, 1, 2),))
-        used.arrow_list(), used.neg_cartan(), used.adjacent(0)
+        used.arrow_list(), used.neg_cartan(), used._neighbour_masks, used.components()
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "ExtQuiver(loops=(1, 0), arrows=((0, 1, 2),))"
 

@@ -167,8 +167,8 @@ class TestLoadScenario:
         (("budgets", "box_bound"), "$.budgets.box_bound", 2.5),
         (("decomposition", 0, "multiplicity"), "$.decomposition[0].multiplicity", True),
         (("budgets", "search_budget"), "$.budgets.search_budget", True),
-        (("representations", "R", "n", 0), "$.representations.R", 1.5),
-        (("representations", "R", "n", 1), "$.representations.R", False),
+        (("representations", "R", "n", 0), "$.representations.R.n", 1.5),
+        (("representations", "R", "n", 1), "$.representations.R.n", False),
     ])
     def test_non_integer_is_a_violation(self, field, path, value):
         doc = base_doc()
@@ -225,7 +225,7 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize("field,path", [
         (("representations", "R", "x", 0, 0, 0), "$.representations.R"),
-        (("representations", "R", "n", 0), "$.representations.R"),
+        (("representations", "R", "n", 0), "$.representations.R.n"),
         (("characters", "theta", 0), "$.characters.theta[0]"),
         (("vectors", "w", 0), "$.vectors.w"),
         (("quiver", "loops", 0), "$.quiver"),

@@ -139,6 +139,76 @@ def test_root_box_budget_is_checked_once_in_the_box_walk():
     assert sites == ["_cells"]
 
 
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+_DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
+
+
+def _is_cache(node: ast.expr) -> bool:
+    """Whether ``node`` is ``cache``/``lru_cache``, bare, as a
+    ``functools`` attribute, or called with its options."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in _CACHE_DECORATORS
+
+
+def module_caches(source: str) -> set[str]:
+    """The module-level names of ``source`` that keep state across calls:
+    functions under a ``cache``/``lru_cache`` decorator, names bound to
+    such a wrapper, and dicts that a function writes into."""
+    tree = ast.parse(source)
+    found, dicts = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            value = node.value
+            if isinstance(value, ast.Call) and _is_cache(value.func):
+                found |= names
+            elif isinstance(value, (ast.Dict, ast.DictComp)) or (
+                    isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"):
+                dicts |= names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _DICT_WRITES):
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id in dicts:
+            found.add(target.id)
+    return found
+
+
+def test_module_caches_are_found():
+    source = """
+import functools
+from functools import cache, lru_cache
+TABLE = {1: 2}
+_memo = {}
+_other: dict = dict()
+@cache
+def a(): return TABLE[1]
+@functools.lru_cache(maxsize=4)
+def b(): _memo[1] = 2
+def c(): _other.setdefault(1, 2)
+d = lru_cache(maxsize=8)(a)
+"""
+    assert module_caches(source) == {"a", "b", "d", "_memo", "_other"}
+
+
+def test_representation_keeps_no_state_across_searches():
+    # Closure state lives in one search's _SeedClosures; only the seed
+    # plans and pure tables of vectors are shared.  A memo of closures
+    # across searches would make repeated benchmark rounds free without
+    # making a single CLI call any faster.
+    assert module_caches((SRC / "representation.py").read_text()) == {
+        "_plans", "_unit", "_grid_directions", "_grid_subspaces"}
+
+
 def cascade_branches() -> set[tuple[str, str, tuple[str, ...]]]:
     """(step, outcome, sorted detail keys) of every ``_trace`` call in
     the stratum cascade: one per branch that ends or passes a step."""

@@ -10,7 +10,6 @@ representation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -102,8 +101,8 @@ class ExtQuiver:
         return tuple(tuple(row) for row in d)
 
     @cached_property
-    def _supports(self) -> dict[int, tuple[bool, tuple[tuple[int, int, int], ...]]]:
-        return {}  # filled per support bitmask by _support
+    def _connectivity(self) -> dict[int, bool]:
+        return {}  # filled per support bitmask by _connected
 
     @cached_property
     def _neighbour_masks(self) -> tuple[int, ...]:
@@ -115,11 +114,11 @@ class ExtQuiver:
         return tuple(out)
 
     @cached_property
-    def _terms(self) -> tuple[tuple[int, tuple[int, int, int]], ...]:
-        # The nonzero terms (i, j, c), i <= j, of the quadratic form, each
-        # with the bitmask of its vertices.
+    def _terms(self) -> tuple[tuple[int, int, int], ...]:
+        # The nonzero terms (i, j, c), i <= j, of the quadratic form:
+        # c = D_ii, or 2 D_ij off the diagonal.
         d = self._neg_cartan
-        return tuple(((1 << i) | (1 << j), (i, j, d[i][j] if i == j else 2 * d[i][j]))
+        return tuple((i, j, d[i][j] if i == j else 2 * d[i][j])
                      for i in range(len(d)) for j in range(i, len(d)) if d[i][j])
 
     @cached_property
@@ -160,8 +159,20 @@ def build_ext_quiver(decomp: PolystableDecomposition) -> ExtQuiver:
     return ExtQuiver(loops, arrows)
 
 
+def _dimension_vector(n: Iterable[int]) -> DimVector:
+    """n as a tuple.  An entry that is not an int (a bool, a float, even an
+    integral one, or a string) is refused, not truncated to the entry of
+    another vector."""
+    n = tuple(n)
+    for x in n:
+        if type(x) is not int:
+            raise ValueError(f"dimension vector entries must be ints, not {x!r}")
+    return n
+
+
 def _check_length(q: ExtQuiver, n: Iterable[int]) -> DimVector:
-    n = tuple(int(x) for x in n)
+    """n as a _dimension_vector of one entry per vertex."""
+    n = _dimension_vector(n)
     if len(n) != q.num_vertices:
         raise LatticeMismatchError(
             f"dimension vector of length {len(n)} for {q.num_vertices} vertices"
@@ -185,44 +196,91 @@ def _closure(q: ExtQuiver, mask: int) -> int:
     return reached
 
 
-def _support(q: ExtQuiver, mask: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
-    """Whether the vertices of a support bitmask span a connected graph,
-    and the nonzero terms (i, j, c), i <= j, of the quadratic form on
-    them (c = D_ii, or 2 D_ij off the diagonal); cached per quiver."""
-    known = q._supports
+def _connected(q: ExtQuiver, mask: int) -> bool:
+    """Whether the vertices of a support bitmask span a connected graph;
+    cached per quiver."""
+    known = q._connectivity
     if mask not in known:
-        known[mask] = bool(mask) and _closure(q, mask) == mask, tuple(
-            term for pair, term in q._terms if pair & mask == pair
-        )
+        known[mask] = bool(mask) and _closure(q, mask) == mask
     return known[mask]
 
 
-def _root_p(q: ExtQuiver, alpha: DimVector, mask: int) -> int:
-    """p(alpha) = quadratic_form(alpha) / 2 + 1 if alpha >= 0, of support bitmask
-    ``mask``, is a positive root in the working sense (connected, p >= 0), else -1."""
-    connected, terms = _support(q, mask)
-    p = sum(c * alpha[i] * alpha[j] for i, j, c in terms) // 2 + 1 if connected else -1
+def _form(q: ExtQuiver, n: DimVector) -> int:
+    # A term on a vertex outside the support of n contributes 0.
+    return sum(c * n[i] * n[j] for i, j, c in q._terms)
+
+
+def _root_p(connected: bool, form: int) -> int:
+    """p(alpha) = form // 2 + 1 for a nonzero alpha >= 0 with quadratic form
+    ``form`` if alpha is a positive root in the working sense (connected
+    support, p >= 0), else -1."""
+    p = form // 2 + 1 if connected else -1
     return p if p >= 0 else -1
 
 
 def _cells(q: ExtQuiver, n: DimVector, budget: int):
     """Each nonzero cell alpha <= n in lex order with its _root_p; the box is
-    checked against the budget on the call, before anything is built.  A
-    product over per-coordinate bits gives the support masks."""
+    checked against the budget on the call, before anything is built.
+
+    The walk carries the quadratic form along the lex order.  Each prefix
+    (every coordinate but the last, l) carries its support bitmask, q on
+    the prefix and its pairing (D alpha)_j with each later coordinate j,
+    built from its parent prefix in O(rank).  Along the last coordinate,
+    q(alpha) = q_prefix + a * (2 (D alpha)_l + a D_ll), so p costs O(1) per
+    cell, and a row reads the connectivity of two masks: the prefix's, and
+    that mask plus l.  It streams: beyond the cells it yields, it holds one
+    prefix state per coordinate."""
     box = prod(b + 1 for b in n)
     if box > budget:
         raise BudgetExceededError(f"root box of size {box} exceeds the budget {budget}")
-    bits = ([0] + [1 << i] * b for i, b in enumerate(n))
-    cells = zip(itertools.product(*(range(b + 1) for b in n)), itertools.product(*bits))
-    next(cells, None)  # the zero cell
-    return ((alpha, _root_p(q, alpha, sum(mask))) for alpha, mask in cells)
+    return _walk(q, n)
+
+
+def _walk(q: ExtQuiver, n: DimVector):
+    # The box is empty at a negative entry; at rank 0 it is the zero cell.
+    if not n or min(n) < 0:
+        return
+    d = q._neg_cartan
+    last = len(n) - 1
+    bit, d_ll, row = 1 << last, d[last][last], range(1, n[last] + 1)
+    # The prefixes run as an odometer.  states[k] holds the mask, q and D alpha
+    # of alpha[:k]; a moved coordinate k resets every later one to 0, so the
+    # states past k are all the new state of alpha[:k + 1].  The row needs
+    # only (D alpha)_last of its prefix.
+    alpha = [0] * last
+    states = [(0, 0, (0,) * len(n))] * last
+    mask = form = d_l = 0
+    while True:
+        prefix = tuple(alpha)
+        if mask:  # else the a = 0 cell is the zero cell
+            yield prefix + (0,), _root_p(_connected(q, mask), form)
+        lin, connected = 2 * d_l, _connected(q, mask | bit)
+        for a in row:
+            yield prefix + (a,), _root_p(connected, form + a * (lin + a * d_ll))
+        k = last - 1
+        while k >= 0 and alpha[k] == n[k]:
+            alpha[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        a = alpha[k] = alpha[k] + 1
+        mask, form, dv = states[k]
+        d_k = d[k]
+        mask |= 1 << k
+        form += a * (2 * dv[k] + a * d_k[k])
+        if k + 1 < last:
+            dv = [v + a * c for v, c in zip(dv, d_k)]
+            states[k + 1:] = [(mask, form, dv)] * (last - k - 1)
+            d_l = dv[last]
+        else:
+            d_l = dv[last] + a * d_k[last]
 
 
 def quadratic_form(q: ExtQuiver, n: Iterable[int]) -> int:
-    """Value of the negative-Cartan quadratic form at n."""
-    n = _check_length(q, n)
-    _, terms = _support(q, sum(1 << i for i, x in enumerate(n) if x))
-    return sum(c * n[i] * n[j] for i, j, c in terms)
+    """Value of the negative-Cartan quadratic form at n: the sum of every
+    nonzero term c n_i n_j, i <= j, with c = D_ii or 2 D_ij off the
+    diagonal."""
+    return _form(q, _check_length(q, n))
 
 
 def expected_dimension(q: ExtQuiver, n: Iterable[int]) -> int:
@@ -247,8 +305,8 @@ def is_positive_root(q: ExtQuiver, alpha: Iterable[int], n: Iterable[int]) -> bo
     n = _check_length(q, n)
     if all(a == 0 for a in alpha):
         raise DegenerateValueError("the zero vector is not a root candidate")
-    return (all(0 <= a <= b for a, b in zip(alpha, n))
-            and _root_p(q, alpha, sum(1 << i for i, a in enumerate(alpha) if a)) >= 0)
+    return all(0 <= a <= b for a, b in zip(alpha, n)) and _root_p(
+        _connected(q, sum(1 << i for i, a in enumerate(alpha) if a)), _form(q, alpha)) >= 0
 
 
 def enumerate_positive_roots(
@@ -279,15 +337,19 @@ def _splitting_table(q: ExtQuiver, n: DimVector, budget: int) -> tuple:
     # A cell packs into one int, coordinate 0 highest, in fields topped by
     # a guard bit: packed order is lex order, and m - beta >= 0 iff (packed(m)
     # | guards) - packed(beta) keeps every guard, the rest packed(m - beta).
-    cells = _cells(q, n, budget)  # checks the budget before the packed keys exist
+    # The last coordinate has shift 0, so a row's keys are its prefix's key
+    # plus a; the first row, the zero cell skipped, starts at a = 1 with key 0.
+    cells = _cells(q, n, budget)  # checks the budget before anything is built
     width = max(n).bit_length() + 1
     shifts = [width * i for i in reversed(range(len(n)))]
     guards = sum(1 << (s + width - 1) for s in shifts)
-    packed = itertools.product(*([a << s for a in range(b + 1)] for b, s in zip(n, shifts)))
-    next(packed)  # the zero cell, which _cells skips
     value, roots, sigma0 = {0: 0}, {}, []
-    for (alpha, p), fields in zip(cells, packed):
-        m = sum(fields)
+    key = 0
+    for alpha, p in cells:
+        a = alpha[-1]
+        if not a:
+            key = sum(x << s for x, s in zip(alpha, shifts))
+        m = key + a
         top, x = -1, m | guards
         for pb, p_beta in sigma0:
             rest = x - pb
@@ -317,7 +379,8 @@ def simple_rep_exists(
     n = _check_length(q, n)
     if all(x == 0 for x in n):
         raise DegenerateValueError("the zero dimension vector has no representations")
-    if min(n) < 0 or _root_p(q, n, sum(1 << i for i, x in enumerate(n) if x)) < 0:
+    if min(n) < 0 or _root_p(
+            _connected(q, sum(1 << i for i, x in enumerate(n) if x)), _form(q, n)) < 0:
         return SimpleRepVerdict(False, reason="not a positive root")
     value, roots, sigma0, guards = _splitting_table(q, n, budget)
     pn = next(reversed(value))

@@ -99,7 +99,7 @@ class DoubleQuiverRep:
 
     @classmethod
     def zero(cls, quiver: ExtQuiver, n: Sequence[int]) -> "DoubleQuiverRep":
-        n = tuple(int(x) for x in n)
+        n = _check_length(quiver, n)
         xs, ys = [], []
         for arrow in quiver.arrow_list():
             xs.append(linalg.zeros(n[arrow.target], n[arrow.source]))

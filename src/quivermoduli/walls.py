@@ -26,7 +26,14 @@ from typing import Iterable, Sequence
 from .decomposition import PolystableDecomposition
 from .errors import DegenerateValueError, LatticeMismatchError
 from .linalg import clear, primitive
-from .quiver import DEFAULT_ROOT_BUDGET, DimVector, ExtQuiver, enumerate_positive_roots
+from .quiver import (
+    DEFAULT_ROOT_BUDGET,
+    DimVector,
+    ExtQuiver,
+    _check_length,
+    _dimension_vector,
+    enumerate_positive_roots,
+)
 from .stability import GaussianRational, StabilityFunction
 
 
@@ -39,7 +46,7 @@ class CharacterPoint:
 
     def __post_init__(self):
         theta = tuple(t if type(t) is Fraction else Fraction(t) for t in self.theta)
-        n = tuple(map(int, self.n))
+        n = _dimension_vector(self.n)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "n", n)
         if len(theta) != len(n):
@@ -101,7 +108,7 @@ def enumerate_walls(
     representation is not decided here; that question belongs to the
     representation-level searches.
     """
-    n = tuple(int(x) for x in n)
+    n = _check_length(q, n)
     roots = enumerate_positive_roots(q, n, budget=budget)
     # A root cuts nothing on the character space exactly when it is a
     # positive multiple of n.

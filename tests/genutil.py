@@ -492,7 +492,8 @@ def stratum_corpus(seed: int = 17, count: int = 10_000) -> tuple[tuple, ...]:
 # The summand validation, ext-quiver, combination and support table as
 # they were before the decomposition owned one summand Gram, copied as
 # they were: the oracles for PolystableDecomposition._gram, its error
-# order, build_ext_quiver, combination and quiver._support.
+# order, build_ext_quiver, combination, quiver._connected and the
+# support's terms of quiver.quadratic_form.
 def reference_validate(summands) -> None:
     """PolystableDecomposition's checks, one pairing call per entry."""
     summands = tuple((v, int(n)) for v, n in summands)

@@ -1,6 +1,8 @@
 """The value constructors normalise each field once: the same values,
 field types and exceptions as a two-pass reference coercion, and the
-same ``repr``, ``hash`` and ``==`` as recorded before the single pass."""
+same ``repr``, ``hash`` and ``==`` as recorded before the single pass.
+A dimension vector is not coerced: an entry that is not an int is
+refused."""
 
 from __future__ import annotations
 
@@ -77,11 +79,20 @@ def theta_and_n(point: CharacterPoint) -> tuple:
     return point.theta + point.n
 
 
+def strict_ints(entries) -> tuple[int, ...]:
+    """A dimension vector's entries, refused unless each is an int."""
+    for x in entries:
+        if type(x) is not int:
+            raise ValueError(f"dimension vector entries must be ints, not {x!r}")
+    return tuple(entries)
+
+
 @given(st.data())
 def test_character_point_matches_reference(data):
+    # theta is coerced as a rational; n is never truncated to ints.
     theta = data.draw(st.lists(SCALARS, min_size=1, max_size=4))
     n = data.draw(st.lists(ZEROS, min_size=len(theta), max_size=len(theta)))
-    expected = parts(lambda: tuple(reference_rational(t) for t in theta) + reference_ints(n))
+    expected = parts(lambda: tuple(reference_rational(t) for t in theta) + strict_ints(n))
     assert parts(lambda: theta_and_n(CharacterPoint(theta, n))) == expected
 
 
@@ -129,8 +140,14 @@ def _corpus_lines() -> list[str]:
         record(f, StabilityFunction(lat, tuple(values)), previous.get("f"))
         n = [rng.randint(0, 3) for _ in range(rng.randint(2, 4))]
         theta = orthogonal_character(rng, n) or tuple(Q(0) for _ in n)
-        point = CharacterPoint(tuple(_dress(rng, t) for t in theta),
-                               tuple(_dress(rng, Q(x)) for x in n))
+        dressed_theta = tuple(_dress(rng, t) for t in theta)
+        dressed_n = tuple(_dress(rng, Q(x)) for x in n)
+        if all(type(x) is int for x in dressed_n):
+            point = CharacterPoint(dressed_theta, dressed_n)
+        else:  # n is refused, not truncated, so its lines record plain ints
+            with pytest.raises(ValueError, match="dimension vector entries must be ints"):
+                CharacterPoint(dressed_theta, dressed_n)
+            point = CharacterPoint(dressed_theta, tuple(n))
         record(point, CharacterPoint(theta, tuple(n)), previous.get("point"))
         previous = {"z": z, "lat": lat, "v": v, "f": f, "point": point}
     return lines

@@ -14,10 +14,11 @@ up to 60, zero diagonals and planted witnesses included; the rank-2
 conic solver it shares with ``find_isotropic`` is checked against a
 box scan on forms of every kind.  The other
 kernels are pinned the same way, each by a digest recorded from the
-Fraction or per-cell tuple implementation it replaced; the splitting
-table is also checked against a brute-force multiset oracle, and its
-Sigma_0 classification of every cell against ``simple_rep_exists`` on
-that cell's own box.
+Fraction or per-cell tuple implementation it replaced; the incremental
+root walk is compared cell by cell with a per-cell form and connectivity
+oracle, the splitting table is also checked against a brute-force
+multiset oracle, and its Sigma_0 classification of every cell against
+``simple_rep_exists`` on that cell's own box.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from quivermoduli import (
 )
 from quivermoduli.errors import DegenerateValueError, LatticeMismatchError, QuiverModuliError
 from quivermoduli.lattice import _conic_points, iter_box
-from quivermoduli.quiver import DEFAULT_ROOT_BUDGET, _splitting_table
+from quivermoduli.quiver import DEFAULT_ROOT_BUDGET, _cells, _splitting_table
 from quivermoduli.scenario import to_wire
 from quivermoduli.stability import GaussianRational as G
 
@@ -65,7 +66,7 @@ from genutil import (
     reference_to_character,
     reference_wall_correspondence_holds,
 )
-from oracles import positive_roots, qform
+from oracles import connected, positive_roots, qform
 
 
 def filtered_box(rank, bound):
@@ -602,6 +603,41 @@ def root_table_grid(count=2000, seed=71):
         budget = rng.choice((DEFAULT_ROOT_BUDGET, DEFAULT_ROOT_BUDGET, box, box - 1))
         cases.append((ExtQuiver(loops, arrows), n, budget))
     return cases
+
+
+def walk_cases(count=500, seed=97):
+    """Quivers of rank 0-4 with 0-4 loops and arrow multiplicities 0-3, at
+    n with entries 0-4 (zeros often); every third n with a rank gets
+    n_last = 0, and every seventh a negative entry somewhere."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        s = k % 5
+        loops = tuple(rng.randint(0, 4) for _ in range(s))
+        arrows = tuple(
+            (i, j, rng.randint(0, 3)) for i, j in itertools.combinations(range(s), 2)
+        )
+        n = [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(s)]
+        if s and k % 3 == 0:
+            n[-1] = 0
+        if s and k % 7 == 0:
+            n[rng.randrange(s)] = -rng.randint(1, 2)
+        cases.append((ExtQuiver(loops, arrows), tuple(n)))
+    return cases
+
+
+def test_cells_match_the_per_cell_oracle():
+    # The incremental walk against the box product and the oracle's form
+    # and connectivity, cell by cell: p = (q + 2) / 2 on a root, else -1.
+    for q, n in walk_cases():
+        box = itertools.product(*(range(b + 1) for b in n))
+        next(box, None)  # the zero cell; nothing at a negative entry
+        expected = []
+        for alpha in box:
+            value = qform(q.loops, q.arrows, alpha)
+            root = connected(q.arrows, [i for i, a in enumerate(alpha) if a]) and value + 2 >= 0
+            expected.append((alpha, (value + 2) // 2 if root else -1))
+        assert list(_cells(q, n, DEFAULT_ROOT_BUDGET)) == expected, (q, n)
 
 
 def verdict_fields(verdict):

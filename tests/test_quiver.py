@@ -3,15 +3,19 @@ from __future__ import annotations
 import random
 import sys
 import tracemalloc
+from fractions import Fraction as Q
 
 import pytest
 
 from quivermoduli import (
+    CharacterPoint,
+    DoubleQuiverRep,
     ExtQuiver,
     GramLattice,
     PolystableDecomposition,
     build_ext_quiver,
     enumerate_positive_roots,
+    enumerate_walls,
     expected_dimension,
     is_positive_root,
     num_parameters,
@@ -25,10 +29,11 @@ from quivermoduli.errors import (
     BudgetExceededError,
     DegenerateValueError,
     HomNonvanishingError,
+    LatticeMismatchError,
     MalformedSummandError,
 )
 
-from quivermoduli.quiver import DEFAULT_ROOT_BUDGET, _support
+from quivermoduli.quiver import DEFAULT_ROOT_BUDGET, _cells, _connected
 
 from genutil import (
     basis_decomposition,
@@ -236,19 +241,24 @@ def union_find_components(q, verts):
 
 class TestSupportTable:
     def test_every_mask_matches_components_and_the_term_scan(self):
-        # _support and components run the same closure, so components is
-        # also held to a partition computed apart from the library.
+        # _connected and components run the same closure, so components is
+        # also held to a partition computed apart from the library.  The
+        # form sums every term; the scan keeps the terms on the support.
+        rng = random.Random(41)
         for q in support_quivers():
             s = q.num_vertices
             for mask in range(1 << s):
                 verts = [i for i in range(s) if mask >> i & 1]
-                connected, terms = _support(q, mask)
-                assert (connected, terms) == reference_support(q, mask)
+                connected, terms = reference_support(q, mask)
+                assert _connected(q, mask) is connected
+                assert q._connectivity[mask] is connected
+                alpha = tuple(rng.randint(1, 3) if mask >> i & 1 else 0 for i in range(s))
+                assert quadratic_form(q, alpha) == sum(
+                    c * alpha[i] * alpha[j] for i, j, c in terms)
                 assert connected == (len(q.components(verts)) == 1)
                 assert q.components(verts) == union_find_components(q, verts)
-                assert _support(q, mask) is _support(q, mask)
             assert q.components() == union_find_components(q, range(s))
-        assert _support(ExtQuiver((1,), ()), 0) == (False, ())
+        assert _connected(ExtQuiver((1,), ()), 0) is False
 
 
 class TestExtQuiverCaches:
@@ -344,6 +354,65 @@ class TestPositiveRoots:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("walk,expected", [
+        (lambda q, n: sum(1 for _ in _cells(q, n, DEFAULT_ROOT_BUDGET)), 401 * 401 - 1),
+        (enumerate_positive_roots, ((0, 1, 0), (1, 0, 0))),
+    ], ids=["cells", "roots"])
+    def test_the_walk_streams(self, walk, expected):
+        # 160 801 cells in rows of one, within the default budget: the walk
+        # holds one prefix state per coordinate, never its rows or prefixes.
+        q, n = ExtQuiver((0, 0, 0), ()), (400, 400, 0)
+        tracemalloc.start()
+        try:
+            result = walk(q, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < 100_000
+
+
+ENTRY_QUIVER = ExtQuiver((1, 0), ((0, 1, 1),))
+ZERO_MAPS = (((Q(0),),),) * 2  # 1 x 1, for the loop and the arrow at n = (1, 1)
+
+# Every public entry point that takes a dimension vector, called at n.
+ENTRY_POINTS = {
+    "quadratic_form": lambda n: quadratic_form(ENTRY_QUIVER, n),
+    "expected_dimension": lambda n: expected_dimension(ENTRY_QUIVER, n),
+    "num_parameters": lambda n: num_parameters(ENTRY_QUIVER, n),
+    "is_positive_root-alpha": lambda n: is_positive_root(ENTRY_QUIVER, n, (3, 3)),
+    "is_positive_root-n": lambda n: is_positive_root(ENTRY_QUIVER, (1, 1), n),
+    "enumerate_positive_roots": lambda n: enumerate_positive_roots(ENTRY_QUIVER, n),
+    "simple_rep_exists": lambda n: simple_rep_exists(ENTRY_QUIVER, n),
+    "enumerate_walls": lambda n: enumerate_walls(ENTRY_QUIVER, n),
+    "DoubleQuiverRep": lambda n: DoubleQuiverRep(ENTRY_QUIVER, n, ZERO_MAPS, ZERO_MAPS),
+    "DoubleQuiverRep.zero": lambda n: DoubleQuiverRep.zero(ENTRY_QUIVER, n),
+    "CharacterPoint": lambda n: CharacterPoint((1, -1), n),
+}
+
+
+class TestDimensionVectorEntries:
+    """An entry that is not an int is refused, never truncated to an
+    answer about another vector, such as (1, 1) for (1.9, 1)."""
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("entry", [1.9, 1.0, True, "1", Q(1)],
+                             ids=["float", "integral-float", "bool", "str", "Fraction"])
+    def test_non_int_entry_is_refused(self, call, entry):
+        call((1, 1))
+        with pytest.raises(ValueError) as refused:
+            call((entry, 1))
+        assert str(refused.value) == f"dimension vector entries must be ints, not {entry!r}"
+
+    def test_length_and_negativity_are_unchanged(self):
+        with pytest.raises(LatticeMismatchError):
+            quadratic_form(ENTRY_QUIVER, (1, 1, 1))
+        with pytest.raises(LatticeMismatchError):
+            CharacterPoint((1, -1), (1, 1, 1))
+        assert quadratic_form(ENTRY_QUIVER, (-1, 1)) == -4
+        assert enumerate_positive_roots(ENTRY_QUIVER, (-1, 3)) == ()
+        assert simple_rep_exists(ENTRY_QUIVER, (-1, 1)).reason == "not a positive root"
 
 
 class TestSimpleRepExists:

@@ -139,6 +139,55 @@ def test_root_box_budget_is_checked_once_in_the_box_walk():
     assert sites == ["_cells"]
 
 
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _called(func: ast.FunctionDef) -> set[str]:
+    return {node.func.id for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_the_box_is_walked_only_inside_cells():
+    # Roots, walls and the splitting table read the one incremental walk;
+    # no product over the box runs beside it, so a change of the root
+    # notion changes _cells and _root_p alone.
+    tree = ast.parse((SRC / "quiver.py").read_text())
+    products = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and "product" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert products == []
+    functions = _functions(SRC / "quiver.py")
+    assert sorted(name for name, func in functions.items() if "_walk" in _called(func)) == ["_cells"]
+    assert "_cells" in _called(functions["enumerate_positive_roots"])
+    assert "_cells" in _called(functions["_splitting_table"])
+
+
+def _is_working_sense(node: ast.AST) -> bool:
+    """Whether ``node`` is ``x // 2 + 1``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.FloorDiv)
+            and isinstance(node.left.right, ast.Constant) and node.left.right.value == 2)
+
+
+def test_the_working_sense_rule_is_written_once():
+    # p = q // 2 + 1 and its root test live in _root_p alone: the walk,
+    # is_positive_root and simple_rep_exists call it.
+    sites = [
+        f"{path.name}:{func.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for func in _functions(path).values()
+        for node in ast.walk(func)
+        if _is_working_sense(node)
+    ]
+    assert sites == ["quiver.py:_root_p"]
+    functions = _functions(SRC / "quiver.py")
+    for name in ("_walk", "is_positive_root", "simple_rep_exists"):
+        assert "_root_p" in _called(functions[name]), name
+
+
 _CACHE_DECORATORS = {"cache", "lru_cache"}
 _DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
 

@@ -350,21 +350,19 @@ def _h_wall_classify_tss(sc, ov, v, z0=None):
 
 
 def _verdict_obj(verdict) -> dict:
-    """Wire form of a stratum verdict."""
+    """A stratum verdict as a dict for ``to_wire``."""
     if isinstance(verdict, stratum.HasStableDeformation):
-        obj = {"kind": verdict.kind, "summands": verdict.summand_indices, "via": verdict.via}
-    elif isinstance(verdict, stratum.TotallySemistableShape):
-        obj = {
+        return {"kind": verdict.kind, "summands": verdict.summand_indices, "via": verdict.via}
+    if isinstance(verdict, stratum.TotallySemistableShape):
+        return {
             "kind": verdict.kind,
             "w": verdict.w,
             "spheres": verdict.spheres,
             "leaf": verdict.leaf,
         }
-    elif isinstance(verdict, stratum.ProductSplit):
-        obj = {"kind": verdict.kind, "factors": [_factor_obj(f) for f in verdict.factors]}
-    else:
-        obj = {"kind": verdict.kind, "reason": verdict.reason}
-    return to_wire(obj)
+    if isinstance(verdict, stratum.ProductSplit):
+        return {"kind": verdict.kind, "factors": [_factor_obj(f) for f in verdict.factors]}
+    return {"kind": verdict.kind, "reason": verdict.reason}
 
 
 def _factor_obj(factor) -> dict:
@@ -481,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the PRNG seed")
     parser.add_argument("--budget", type=int, default=None, help="override the search/root budget")
     parser.add_argument("--bound", type=int, default=None, help="override the box bound")
-    style = parser.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true", help="compact JSON output (default)")
-    style.add_argument("--pretty", action="store_true", help="indented JSON output")
+    parser.add_argument("--pretty", action="store_true", help="indented JSON output")
 
     groups = parser.add_subparsers(dest="group", required=True)
     tree: dict[str, list[str]] = {}

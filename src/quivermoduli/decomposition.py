@@ -9,6 +9,7 @@ from typing import Iterable
 
 from .errors import HomNonvanishingError, MalformedSummandError
 from .lattice import GramLattice, LatticeVector
+from .linalg import ints
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,8 @@ class PolystableDecomposition:
     summands: tuple[tuple[LatticeVector, int], ...]
 
     def __post_init__(self):
-        summands = tuple((v, int(n)) for v, n in self.summands)
+        summands = tuple((v, n) for v, n in self.summands)
+        multiplicities = ints([n for _, n in summands], "multiplicities")
         object.__setattr__(self, "summands", summands)
         if not summands:
             raise MalformedSummandError("decomposition needs at least one summand")
@@ -51,7 +53,7 @@ class PolystableDecomposition:
         classes = tuple(v for v, _ in summands)
         gram = tuple(tuple(sum(map(mul, v.coords, g)) for g in images) for v in classes)
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "multiplicities", tuple(n for _, n in summands))
+        object.__setattr__(self, "multiplicities", multiplicities)
         object.__setattr__(self, "_gram", gram)
         for i, row in enumerate(gram):
             for j in range(i + 1, len(gram)):
@@ -81,7 +83,7 @@ class PolystableDecomposition:
 
     def combination(self, coeffs: Iterable[int]) -> LatticeVector:
         """The class sum(a_i * v_i) for integer coefficients a_i."""
-        coeffs = tuple(int(a) for a in coeffs)
+        coeffs = ints(coeffs, "coefficients")
         if len(coeffs) != self.size:
             raise MalformedSummandError(
                 f"{len(coeffs)} coefficients for {self.size} summands"

@@ -22,6 +22,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional
 
 from .errors import InternalInvariantError, LatticeMismatchError, PrimitivityError
+from .linalg import ints
 
 
 class ClassKind(enum.Enum):
@@ -44,7 +45,7 @@ class GramLattice:
     even: bool = False
 
     def __post_init__(self):
-        gram = tuple(tuple(map(int, row)) for row in self.gram)
+        gram = tuple(ints(row, "Gram matrix entries") for row in self.gram)
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
@@ -78,7 +79,7 @@ class LatticeVector:
     lattice: GramLattice
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
+        object.__setattr__(self, "coords", ints(self.coords, "lattice vector coordinates"))
         if len(self.coords) != self.lattice.rank:
             raise LatticeMismatchError(
                 f"vector of length {len(self.coords)} in a rank-{self.lattice.rank} lattice"
@@ -100,7 +101,8 @@ class LatticeVector:
         return LatticeVector(tuple(-a for a in self.coords), self.lattice)
 
     def __rmul__(self, c: int) -> "LatticeVector":
-        return LatticeVector(tuple(int(c) * a for a in self.coords), self.lattice)
+        (c,) = ints((c,), "scalars")
+        return LatticeVector(tuple(c * a for a in self.coords), self.lattice)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -42,6 +42,18 @@ def trace(a: Mat) -> Fraction:
     return sum((a[i][i] for i in range(n)), Fraction(0))
 
 
+def ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints.  The one integer rule of the
+    library: an entry whose type is not exactly ``int`` (a bool, a
+    float, even an integral one, a ``Fraction`` or a string) is refused
+    with ``ValueError``, never truncated to another integer."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be ints, not {x!r}")
+    return values
+
+
 def clear(entries: Sequence) -> tuple[int, tuple[int, ...]]:
     """(D, nums): the rational entries (ints or ``Fraction``s) as
     nums / D over their least positive common denominator D.  The one

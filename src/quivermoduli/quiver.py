@@ -25,6 +25,7 @@ from .errors import (
     MalformedSummandError,
 )
 from .lattice import pairing, square
+from .linalg import ints
 
 DEFAULT_ROOT_BUDGET = 200_000
 
@@ -51,7 +52,7 @@ class ExtQuiver:
     arrows: tuple[tuple[int, int, int], ...]  # (i, j, multiplicity) with i < j
 
     def __post_init__(self):
-        loops = tuple(int(g) for g in self.loops)
+        loops = ints(self.loops, "loop counts")
         object.__setattr__(self, "loops", loops)
         s = len(loops)
         if any(g < 0 for g in loops):
@@ -59,7 +60,7 @@ class ExtQuiver:
         cleaned = []
         seen = set()
         for i, j, m in self.arrows:
-            i, j, m = int(i), int(j), int(m)
+            i, j, m = ints((i, j, m), "arrow entries")
             if not (0 <= i < s and 0 <= j < s) or i == j:
                 raise LatticeMismatchError(f"arrow ({i},{j}) out of range")
             if i > j:
@@ -159,20 +160,9 @@ def build_ext_quiver(decomp: PolystableDecomposition) -> ExtQuiver:
     return ExtQuiver(loops, arrows)
 
 
-def _dimension_vector(n: Iterable[int]) -> DimVector:
-    """n as a tuple.  An entry that is not an int (a bool, a float, even an
-    integral one, or a string) is refused, not truncated to the entry of
-    another vector."""
-    n = tuple(n)
-    for x in n:
-        if type(x) is not int:
-            raise ValueError(f"dimension vector entries must be ints, not {x!r}")
-    return n
-
-
 def _check_length(q: ExtQuiver, n: Iterable[int]) -> DimVector:
-    """n as a _dimension_vector of one entry per vertex."""
-    n = _dimension_vector(n)
+    """n as a tuple of ints, one entry per vertex."""
+    n = ints(n, "dimension vector entries")
     if len(n) != q.num_vertices:
         raise LatticeMismatchError(
             f"dimension vector of length {len(n)} for {q.num_vertices} vertices"

@@ -25,7 +25,7 @@ from .errors import (
     OutsideHeartError,
 )
 from .lattice import GramLattice, LatticeVector
-from .linalg import clear, primitive
+from .linalg import clear, ints, primitive
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,8 @@ class WeightedFiltration:
     steps: tuple[tuple[int, LatticeVector], ...]
 
     def __post_init__(self):
-        steps = tuple((int(w), v) for w, v in self.steps)
+        steps = tuple((w, v) for w, v in self.steps)
+        ints([w for w, _ in steps], "filtration weights")
         object.__setattr__(self, "steps", steps)
         if not steps:
             raise ValueError("a weighted filtration needs at least one step")
@@ -294,12 +295,6 @@ class FormalKClass:
 
     terms: tuple[tuple[int, LatticeVector], ...]  # sorted by exponent
 
-    def coefficient(self, exponent: int) -> Optional[LatticeVector]:
-        for e, v in self.terms:
-            if e == exponent:
-                return v
-        return None
-
     def at_one(self) -> LatticeVector:
         """Specialize u = 1: the sum of all coefficients."""
         return _class_sum(self.terms)
@@ -319,10 +314,6 @@ class ThetaVerdict:
     unstable: bool
     witness: Optional[WeightedFiltration] = None
     weight: Optional[Fraction] = None
-
-    @property
-    def semistable(self) -> bool:
-        return not self.unstable
 
 
 def theta_unstable(

@@ -25,13 +25,12 @@ from typing import Iterable, Sequence
 
 from .decomposition import PolystableDecomposition
 from .errors import DegenerateValueError, LatticeMismatchError
-from .linalg import clear, primitive
+from .linalg import clear, ints, primitive
 from .quiver import (
     DEFAULT_ROOT_BUDGET,
     DimVector,
     ExtQuiver,
     _check_length,
-    _dimension_vector,
     enumerate_positive_roots,
 )
 from .stability import GaussianRational, StabilityFunction
@@ -46,7 +45,7 @@ class CharacterPoint:
 
     def __post_init__(self):
         theta = tuple(t if type(t) is Fraction else Fraction(t) for t in self.theta)
-        n = _dimension_vector(self.n)
+        n = ints(self.n, "dimension vector entries")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "n", n)
         if len(theta) != len(n):
@@ -65,7 +64,7 @@ class CharacterPoint:
     def _dot_numerator(self, alpha: Sequence[int]) -> int:
         """theta . alpha times the positive denominator of ``_cleared``."""
         nums = self._cleared[1]
-        alpha = [int(a) for a in alpha]
+        alpha = ints(alpha, "dimension vector entries")
         if len(alpha) != len(nums):
             raise LatticeMismatchError(
                 f"vector of length {len(alpha)} against a character of length {len(nums)}"
@@ -78,7 +77,8 @@ class CharacterPoint:
     def slope(self, m: Sequence[int]) -> Fraction:
         """King's theta-slope (theta . m) / sum(m); undefined on the zero
         dimension vector."""
-        total = sum(int(x) for x in m)
+        m = ints(m, "dimension vector entries")
+        total = sum(m)
         if total == 0:
             raise ZeroDivisionError("slope of the zero dimension vector")
         return Fraction(self._dot_numerator(m), self._cleared[0] * total)
@@ -194,7 +194,7 @@ def _dot(coeffs: Sequence[int], nums: Sequence[int]) -> int:
 
 def _coefficients(coeffs: Sequence[int], decomp: PolystableDecomposition) -> tuple[int, ...]:
     """Integer coefficients, one per summand of ``decomp``."""
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = ints(coeffs, "coefficients")
     if len(coeffs) != decomp.size:
         raise LatticeMismatchError(
             f"{len(coeffs)} coefficients for {decomp.size} summands"

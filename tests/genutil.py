@@ -135,20 +135,24 @@ class FractionSubclass(Fraction):
     """A ``Fraction`` subtype; value constructors store plain ``Fraction``s."""
 
 
-# Reference normalisers: each field coerced twice, as the value
-# constructors once did (``GaussianRational.of`` converted to
-# ``Fraction`` before ``__post_init__`` converted again, and
-# ``GramLattice.vector`` coerced coordinates before ``LatticeVector``
-# did).  The constructors must agree with them on value, field type and
-# exception.
+# Reference normalisers.  A rational field is coerced twice, as the
+# value constructors once did (``GaussianRational.of`` converted to
+# ``Fraction`` before ``__post_init__`` converted again); an integer
+# field is never coerced, only refused unless each entry is an int.  The
+# constructors must agree with them on value, field type and exception.
 
 
 def reference_rational(x) -> Fraction:
     return Fraction(Fraction(x))
 
 
-def reference_ints(entries) -> tuple[int, ...]:
-    return tuple(int(c) for c in tuple(int(c) for c in entries))
+def strict_ints(entries, what: str) -> tuple[int, ...]:
+    """The entries as a tuple, refused unless each is an int; ``what``
+    names them in the message."""
+    for x in entries:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be ints, not {x!r}")
+    return tuple(entries)
 
 
 def random_stability(rng: random.Random, lat: GramLattice) -> StabilityFunction:

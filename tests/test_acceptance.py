@@ -36,7 +36,7 @@ from quivermoduli import (
 from quivermoduli import linalg
 from quivermoduli.cli import COMMANDS, _verdict_obj, run_command
 from quivermoduli.errors import LatticeMismatchError
-from quivermoduli.scenario import load_scenario
+from quivermoduli.scenario import load_scenario, to_wire
 from quivermoduli.stability import GaussianRational as G
 from quivermoduli.stability import I, WeightedFiltration, filtration_weight
 
@@ -412,7 +412,7 @@ def _verdict_bytes(gram, summands, even=True):
     lat = GramLattice(gram, even=even)
     dec = PolystableDecomposition.of((lat.vector(c), n) for c, n in summands)
     report = analyze_stratum(dec)
-    return json.dumps(_verdict_obj(report.verdict), sort_keys=True,
+    return json.dumps(to_wire(_verdict_obj(report.verdict)), sort_keys=True,
                       separators=(",", ":"))
 
 

@@ -1,8 +1,8 @@
 """The value constructors normalise each field once: the same values,
 field types and exceptions as a two-pass reference coercion, and the
 same ``repr``, ``hash`` and ``==`` as recorded before the single pass.
-A dimension vector is not coerced: an entry that is not an int is
-refused."""
+An integer field (Gram entries, coordinates, a dimension vector) is not
+coerced: an entry that is not an int is refused."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from quivermoduli import (
 from quivermoduli.lattice import LatticeVector
 from quivermoduli.stability import GaussianRational as G
 
-from genutil import FractionSubclass, orthogonal_character, reference_ints, reference_rational
+from genutil import FractionSubclass, orthogonal_character, reference_rational, strict_ints
 
 FRACTIONS = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
 SCALARS = st.one_of(
@@ -66,25 +66,17 @@ def test_gaussian_rational_matches_reference(re, im):
 def test_lattice_entries_match_reference(entries):
     rank = len(entries)
     lat = GramLattice(tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
-    expected = parts(lambda: reference_ints(entries))
+    expected = parts(lambda: strict_ints(entries, "lattice vector coordinates"))
     assert parts(lambda: lat.vector(entries).coords) == expected
     assert parts(lambda: lat.vector(iter(entries)).coords) == expected
     assert parts(lambda: LatticeVector(tuple(entries), lat).coords) == expected
     diagonal = [[x if i == j else 0 for j in range(rank)] for i, x in enumerate(entries)]
     assert parts(lambda: sum(GramLattice(diagonal).gram, ())) == parts(
-        lambda: sum((reference_ints(row) for row in diagonal), ()))
+        lambda: sum((strict_ints(row, "Gram matrix entries") for row in diagonal), ()))
 
 
 def theta_and_n(point: CharacterPoint) -> tuple:
     return point.theta + point.n
-
-
-def strict_ints(entries) -> tuple[int, ...]:
-    """A dimension vector's entries, refused unless each is an int."""
-    for x in entries:
-        if type(x) is not int:
-            raise ValueError(f"dimension vector entries must be ints, not {x!r}")
-    return tuple(entries)
 
 
 @given(st.data())
@@ -92,7 +84,8 @@ def test_character_point_matches_reference(data):
     # theta is coerced as a rational; n is never truncated to ints.
     theta = data.draw(st.lists(SCALARS, min_size=1, max_size=4))
     n = data.draw(st.lists(ZEROS, min_size=len(theta), max_size=len(theta)))
-    expected = parts(lambda: tuple(reference_rational(t) for t in theta) + strict_ints(n))
+    expected = parts(lambda: tuple(reference_rational(t) for t in theta)
+                     + strict_ints(n, "dimension vector entries"))
     assert parts(lambda: theta_and_n(CharacterPoint(theta, n))) == expected
 
 
@@ -104,6 +97,17 @@ def _dress(rng: random.Random, x: Q):
         if x in (0, 1):
             dressings.append(bool)
     return rng.choice(dressings)(x)
+
+
+def _built_or_refused(build, dressed, plain, entries, what):
+    """build(dressed) when its integer ``entries`` are all ints.  Otherwise
+    build must refuse them, not truncate them, and the value is
+    build(plain), so the corpus records the plain ints."""
+    if all(type(x) is int for x in entries):
+        return build(dressed)
+    with pytest.raises(ValueError, match=f"{what} must be ints"):
+        build(dressed)
+    return build(plain)
 
 
 def _corpus_lines() -> list[str]:
@@ -129,11 +133,16 @@ def _corpus_lines() -> list[str]:
         for i in range(rank):
             for j in range(i, rank):
                 gram[i][j] = gram[j][i] = rng.randint(-4, 4)
-        lat = GramLattice(tuple(tuple(_dress(rng, Q(x)) for x in row) for row in gram))
-        record(lat, GramLattice(tuple(map(tuple, gram))), previous.get("lat"))
-        coords = [rng.randint(-6, 6) for _ in range(rank)]
-        v = lat.vector(_dress(rng, Q(c)) for c in coords)
-        record(v, LatticeVector(tuple(coords), lat), previous.get("v"))
+        gram = tuple(map(tuple, gram))
+        dressed_gram = tuple(tuple(_dress(rng, Q(x)) for x in row) for row in gram)
+        lat = _built_or_refused(GramLattice, dressed_gram, gram, sum(dressed_gram, ()),
+                                "Gram matrix entries")
+        record(lat, GramLattice(gram), previous.get("lat"))
+        coords = tuple(rng.randint(-6, 6) for _ in range(rank))
+        dressed_coords = tuple(_dress(rng, Q(c)) for c in coords)
+        v = _built_or_refused(lat.vector, dressed_coords, coords, dressed_coords,
+                              "lattice vector coordinates")
+        record(v, LatticeVector(coords, lat), previous.get("v"))
         values = [G(rational(), rational()) for _ in range(rank)]
         f = StabilityFunction(lat, tuple(G.of(_dress(rng, w.re), _dress(rng, w.im))
                                          for w in values))
@@ -142,12 +151,8 @@ def _corpus_lines() -> list[str]:
         theta = orthogonal_character(rng, n) or tuple(Q(0) for _ in n)
         dressed_theta = tuple(_dress(rng, t) for t in theta)
         dressed_n = tuple(_dress(rng, Q(x)) for x in n)
-        if all(type(x) is int for x in dressed_n):
-            point = CharacterPoint(dressed_theta, dressed_n)
-        else:  # n is refused, not truncated, so its lines record plain ints
-            with pytest.raises(ValueError, match="dimension vector entries must be ints"):
-                CharacterPoint(dressed_theta, dressed_n)
-            point = CharacterPoint(dressed_theta, tuple(n))
+        point = _built_or_refused(lambda n: CharacterPoint(dressed_theta, n), dressed_n,
+                                  tuple(n), dressed_n, "dimension vector entries")
         record(point, CharacterPoint(theta, tuple(n)), previous.get("point"))
         previous = {"z": z, "lat": lat, "v": v, "f": f, "point": point}
     return lines

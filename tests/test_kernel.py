@@ -570,13 +570,15 @@ def test_slice_matches_per_summand_reference():
 
 def test_fixed_slice_cases_reach_every_outcome():
     # The fixed cases exercise each error of the slice, the early
-    # ``True`` on no samples, and a wrong or non-integer ``alpha``.
+    # ``True`` on no samples, and a wrong or non-integer ``alpha``.  Every
+    # non-integer ``alpha`` entry ("one", None, 1/2) is a ValueError.
     seen = set()
     for case in fixed_slice_cases():
         for out in slice_outcomes(*case, LIBRARY_SLICE):
             seen.add(out[1] if out[0] == "raised" else type(out[1]))
     assert {bool, CharacterPoint, DegenerateValueError, LatticeMismatchError,
-            ValueError, TypeError} <= seen
+            ValueError} <= seen
+    assert TypeError not in seen
 
 
 # -- positive roots and the Crawley-Boevey splitting table -------------

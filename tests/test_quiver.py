@@ -12,7 +12,9 @@ from quivermoduli import (
     DoubleQuiverRep,
     ExtQuiver,
     GramLattice,
+    LatticeVector,
     PolystableDecomposition,
+    WeightedFiltration,
     build_ext_quiver,
     enumerate_positive_roots,
     enumerate_walls,
@@ -24,6 +26,7 @@ from quivermoduli import (
     quadratic_form,
     simple_rep_exists,
     square,
+    wall_correspondence_holds,
 )
 from quivermoduli.errors import (
     BudgetExceededError,
@@ -34,6 +37,7 @@ from quivermoduli.errors import (
 )
 
 from quivermoduli.quiver import DEFAULT_ROOT_BUDGET, _cells, _connected
+from quivermoduli.stability import GaussianRational
 
 from genutil import (
     basis_decomposition,
@@ -389,6 +393,8 @@ ENTRY_POINTS = {
     "DoubleQuiverRep": lambda n: DoubleQuiverRep(ENTRY_QUIVER, n, ZERO_MAPS, ZERO_MAPS),
     "DoubleQuiverRep.zero": lambda n: DoubleQuiverRep.zero(ENTRY_QUIVER, n),
     "CharacterPoint": lambda n: CharacterPoint((1, -1), n),
+    "CharacterPoint.dot": lambda n: CharacterPoint((1, -1), (1, 1)).dot(n),
+    "CharacterPoint.slope": lambda n: CharacterPoint((1, -1), (1, 1)).slope(n),
 }
 
 
@@ -413,6 +419,47 @@ class TestDimensionVectorEntries:
         assert quadratic_form(ENTRY_QUIVER, (-1, 1)) == -4
         assert enumerate_positive_roots(ENTRY_QUIVER, (-1, 3)) == ()
         assert simple_rep_exists(ENTRY_QUIVER, (-1, 1)).reason == "not a positive root"
+
+
+FIELD_LAT = GramLattice(((2, 1), (1, -2)), even=True)
+FIELD_DEC = PolystableDecomposition.of([(FIELD_LAT.vector((1, 0)), 1)])
+
+# Every integer field of a value constructor, and every integer vector
+# a method takes, other than a dimension vector, with the noun its
+# refusal names; each is called with x in one entry, and x = 1 is valid.
+INTEGER_FIELDS = {
+    "GramLattice": (lambda x: GramLattice(((x, 0), (0, 1))), "Gram matrix entries"),
+    "GramLattice.vector": (lambda x: FIELD_LAT.vector((x, 0)), "lattice vector coordinates"),
+    "LatticeVector": (lambda x: LatticeVector((0, x), FIELD_LAT), "lattice vector coordinates"),
+    "scalar-times-vector": (lambda x: x * FIELD_LAT.vector((1, 0)), "scalars"),
+    "multiplicity": (lambda x: PolystableDecomposition.of([(FIELD_LAT.vector((1, 0)), x)]),
+                     "multiplicities"),
+    "combination": (lambda x: FIELD_DEC.combination((x,)), "coefficients"),
+    "filtration-weight": (lambda x: WeightedFiltration(((x, FIELD_LAT.vector((1, 0))),)),
+                          "filtration weights"),
+    "loop-count": (lambda x: ExtQuiver((0, x), ()), "loop counts"),
+    "arrow-source": (lambda x: ExtQuiver((0, 0, 0), ((x, 2, 1),)), "arrow entries"),
+    "arrow-target": (lambda x: ExtQuiver((0, 0), ((0, x, 1),)), "arrow entries"),
+    "arrow-multiplicity": (lambda x: ExtQuiver((0, 0), ((0, 1, x),)), "arrow entries"),
+    "wall_correspondence_holds": (
+        lambda x: wall_correspondence_holds((x,), (), GaussianRational.of(0, 1), FIELD_DEC),
+        "coefficients"),
+}
+
+
+class TestIntegerFields:
+    """The dimension-vector rule holds for every integer input: an entry
+    that is not an int is refused, never truncated to an answer about
+    another lattice, quiver or class."""
+
+    @pytest.mark.parametrize("call, what", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS.keys())
+    @pytest.mark.parametrize("entry", [1.9, 1.0, True, "1", Q(1)],
+                             ids=["float", "integral-float", "bool", "str", "Fraction"])
+    def test_non_int_entry_is_refused(self, call, what, entry):
+        call(1)
+        with pytest.raises(ValueError) as refused:
+            call(entry)
+        assert str(refused.value) == f"{what} must be ints, not {entry!r}"
 
 
 class TestSimpleRepExists:

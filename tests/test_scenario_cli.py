@@ -563,7 +563,9 @@ class TestMainEntry:
         (["lattice", "pair", "w"], "quivermoduli lattice pair: the following arguments are required: b"),
         (["--bound", "x", "lattice", "signature"], "quivermoduli: argument --bound: invalid int value: 'x'"),
         (["lattice", "signature", "extra"], "quivermoduli: unrecognized arguments: extra"),
-    ], ids=["unknown-action", "missing-action", "missing-positional", "bad-int", "extra"])
+        (["--json", "lattice", "signature"], "quivermoduli: unrecognized arguments: --json"),
+    ], ids=["unknown-action", "missing-action", "missing-positional", "bad-int", "extra",
+            "removed-json-flag"])
     def test_argparse_failure_is_one_json_line(self, tmp_path, capsys, argv, message):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(base_doc()))

@@ -124,6 +124,34 @@ def test_lattice_imports_nothing_from_fractions():
     assert found == []
 
 
+def int_coercions(source: str) -> list[int]:
+    """Lines that call ``int(...)`` or pass ``int`` to ``map``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and (node.func.id == "int" or node.func.id == "map" and node.args
+             and isinstance(node.args[0], ast.Name) and node.args[0].id == "int")
+    ]
+
+
+def test_int_coercions_are_found():
+    source = "a = int(x)\nb = tuple(map(int, y))\nc = isinstance(x, int)\nd = map(str, y)\n"
+    assert int_coercions(source) == [1, 2]
+
+
+def test_only_text_and_json_readers_coerce_to_int():
+    # Integer inputs go through linalg.ints, which refuses what is not an
+    # int; only the CLI and the scenario loader parse text and JSON.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("cli.py", "scenario.py")
+        for line in int_coercions(path.read_text())
+    ]
+    assert found == []
+
+
 def test_root_box_budget_is_checked_once_in_the_box_walk():
     # One lexicographic walk of the box below n serves every root question;
     # a second copy of its budget check means a second walk.

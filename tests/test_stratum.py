@@ -558,7 +558,7 @@ STRATUM_DIGEST = "9b64e35ce02e31ddcfb6d753a4d4ed0fb3126afcbde54239239c505b69f765
 
 def test_stratum_answers_match_recorded_digest():
     lines = [
-        json.dumps([gram, mults, cli._verdict_obj(report.verdict),
+        json.dumps([gram, mults, to_wire(cli._verdict_obj(report.verdict)),
                     list(report.trace), shape_obj(report)])
         for gram, mults, report in stratum_corpus()
     ]

@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import linalg, representation, stability, stratum, walls
 from .errors import BudgetExceededError, QuiverModuliError, ScenarioError, UnknownCommandError
@@ -50,11 +50,12 @@ from .stratum import HyperbolicPair, analyze_stratum, detect_totally_semistable
 MAX_BOX_CELLS = 1_000_000
 
 
-@dataclass
-class Overrides:
+class Overrides(NamedTuple):
     seed: Optional[int] = None
     budget: Optional[int] = None
     bound: Optional[int] = None
+
+    __hash__ = None  # unhashable, like Report
 
 
 @dataclass
@@ -226,12 +227,7 @@ def _h_quiver_roots(sc, ov, n=None):
 
 def _h_quiver_simple_exists(sc, ov, n=None):
     q, n = _quiver_and_n(sc, n)
-    verdict = simple_rep_exists(q, n, budget=_root_budget(sc, ov))
-    return {
-        "exists": verdict.exists,
-        "reason": verdict.reason,
-        "violating_parts": verdict.violating_parts,
-    }
+    return simple_rep_exists(q, n, budget=_root_budget(sc, ov))._asdict()
 
 
 def _h_rep_moment_map(sc, ov, rep):
@@ -247,13 +243,7 @@ def _h_rep_destabilize(sc, ov, rep, theta):
     result = representation.destabilizer_search(rep, theta, limits)
     if result.found:
         return {"found": True, "witness": result.witness.spans, "slope": result.slope}
-    return {
-        "found": False,
-        "certificate": {
-            "seeds_tried": result.certificate.seeds_tried,
-            "budget_used": result.certificate.budget_used,
-        },
-    }
+    return {"found": False, "certificate": result.certificate._asdict()}
 
 
 def _h_rep_jh(sc, ov, rep, theta):
@@ -308,12 +298,7 @@ def _h_stab_kclass(sc, ov, filtration):
 def _h_walls_enumerate(sc, ov, n=None):
     q, n = _quiver_and_n(sc, n)
     found = walls.enumerate_walls(q, n, budget=_root_budget(sc, ov))
-    return {
-        "walls": [
-            {"alpha": w.alpha, "degenerate": w.degenerate, "at_bound": w.at_bound}
-            for w in found
-        ]
-    }
+    return {"walls": [w._asdict() for w in found]}
 
 
 def _h_walls_locate(sc, ov, theta, n=None):
@@ -353,16 +338,9 @@ def _verdict_obj(verdict) -> dict:
     """A stratum verdict as a dict for ``to_wire``."""
     if isinstance(verdict, stratum.HasStableDeformation):
         return {"kind": verdict.kind, "summands": verdict.summand_indices, "via": verdict.via}
-    if isinstance(verdict, stratum.TotallySemistableShape):
-        return {
-            "kind": verdict.kind,
-            "w": verdict.w,
-            "spheres": verdict.spheres,
-            "leaf": verdict.leaf,
-        }
     if isinstance(verdict, stratum.ProductSplit):
         return {"kind": verdict.kind, "factors": [_factor_obj(f) for f in verdict.factors]}
-    return {"kind": verdict.kind, "reason": verdict.reason}
+    return {"kind": verdict.kind, **verdict._asdict()}  # a shape (w, spheres, leaf) or a reason
 
 
 def _factor_obj(factor) -> dict:
@@ -462,46 +440,67 @@ def run_command(
 
 class _Parser(argparse.ArgumentParser):
     """Raises on a malformed argument list instead of printing usage
-    text and exiting, so ``main`` can answer with one JSON line.
-    Subparsers are built from the same class."""
+    text and exiting, so ``main`` can answer with one JSON line."""
 
     def error(self, message):
         raise UnknownCommandError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="quivermoduli",
-        description="Exact lattice / quiver / wall computations over scenario files",
-    )
-    parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    parser.add_argument("--out", default=None, help="write the report here (default stdout)")
-    parser.add_argument("--seed", type=int, default=None, help="override the PRNG seed")
-    parser.add_argument("--budget", type=int, default=None, help="override the search/root budget")
-    parser.add_argument("--bound", type=int, default=None, help="override the box bound")
-    parser.add_argument("--pretty", action="store_true", help="indented JSON output")
+class _Word(argparse.Action):
+    """The group or action word, read with ``nargs=argparse.PARSER``.
+    Like argparse's subparsers, it hands the words after it to the parser
+    for that word, but builds only that one; the words that parser does
+    not know go to the front of ``leftover``, which ``main`` reports."""
 
-    groups = parser.add_subparsers(dest="group", required=True)
-    tree: dict[str, list[str]] = {}
-    for command in COMMANDS:
-        group, action = command.split(" ", 1)
-        tree.setdefault(group, []).append(action)
-    for group, actions in tree.items():
-        gp = groups.add_parser(group)
-        sub = gp.add_subparsers(dest="action", required=True)
-        for action in actions:
-            handler, positionals, flags = COMMANDS[f"{group} {action}"]
-            ap = sub.add_parser(action)
-            for pos in positionals:
-                ap.add_argument(pos)
-            for flag in flags:
-                ap.add_argument(f"--{flag}", default=None)
+    def __call__(self, parser, namespace, values, option_string=None):
+        word, *rest = values
+        setattr(namespace, self.dest, word)
+        _, extras = _parser(f"{parser.prog} {word}").parse_known_args(rest, namespace)
+        namespace.leftover[:0] = extras
+
+
+def _parser(prog: str) -> _Parser:
+    """The parser for ``prog``: "quivermoduli" reads the global options
+    and the group word, "quivermoduli <group>" the action word, and
+    "quivermoduli <group> <action>" that command's arguments."""
+    words = prog.split()[1:]
+    command = " ".join(words)
+    parser = _Parser(prog=prog, description=None if words else (
+        "Exact lattice / quiver / wall computations over scenario files"))
+    if command in COMMANDS:
+        _, positionals, flags = COMMANDS[command]
+        for pos in positionals:
+            parser.add_argument(pos)
+        for flag in flags:
+            parser.add_argument(f"--{flag}", default=None)
+        return parser
+    if not words:
+        parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
+        parser.add_argument("--out", default=None, help="write the report here (default stdout)")
+        parser.add_argument("--seed", type=int, default=None, help="override the PRNG seed")
+        parser.add_argument("--budget", type=int, default=None, help="override the search/root budget")
+        parser.add_argument("--bound", type=int, default=None, help="override the box bound")
+        parser.add_argument("--pretty", action="store_true", help="indented JSON output")
+        parser.set_defaults(leftover=[])
+    following = dict.fromkeys(c.split()[len(words)] for c in COMMANDS
+                              if c.split()[:len(words)] == words)
+    parser.add_argument(("group", "action")[len(words)], action=_Word, nargs=argparse.PARSER,
+                        choices=list(following))
     return parser
+
+
+def _fail(code: int, error: str, **detail) -> int:
+    """Report a failure as one JSON line on stderr; returns the exit code."""
+    print(json.dumps({"error": error, **detail}), file=sys.stderr)
+    return code
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        parser = _parser("quivermoduli")
+        ns, extras = parser.parse_known_args(argv)
+        if extras or ns.leftover:
+            parser.error(f"unrecognized arguments: {' '.join(extras + ns.leftover)}")
         command = f"{ns.group} {ns.action}"
         _, positionals, flags = COMMANDS[command]
         args = {name: getattr(ns, name) for name in positionals + flags}
@@ -510,25 +509,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
     except ScenarioError as exc:
-        print(json.dumps({"error": "schema", "violations": exc.violations}),
-              file=sys.stderr)
-        return 2
+        return _fail(2, "schema", violations=exc.violations)
     except UnknownCommandError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return 2
+        return _fail(2, "usage", message=str(exc))
     except QuiverModuliError as exc:
-        print(json.dumps({"error": "domain", "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _fail(1, "domain", message=str(exc))
     except ValueError as exc:
         # Malformed inline arguments (numbers, comma lists, JSON terms).
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return 2
+        return _fail(2, "usage", message=str(exc))
     text = report.as_json(pretty=ns.pretty)
-    if ns.out:
+    if not ns.out:
+        print(text)
+        return 0
+    try:
         with open(ns.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        return _fail(2, "usage", message=str(exc))
     return 0
 
 

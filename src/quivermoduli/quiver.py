@@ -306,8 +306,7 @@ def enumerate_positive_roots(
     return tuple(alpha for alpha, p in _cells(q, _check_length(q, n), budget) if p >= 0)
 
 
-@dataclass(frozen=True)
-class SimpleRepVerdict:
+class SimpleRepVerdict(NamedTuple):
     """Outcome of Crawley-Boevey's existence test for a simple
     representation of the deformed zero fiber at dimension vector n."""
 

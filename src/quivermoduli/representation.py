@@ -156,8 +156,7 @@ def in_zero_fiber(rep: DoubleQuiverRep) -> bool:
     return not any(a for _, block in _block_sums(rep) for row in block for a in row)
 
 
-@dataclass(frozen=True)
-class SubrepWitness:
+class SubrepWitness(NamedTuple):
     """Per-vertex bases of a candidate subrepresentation."""
 
     spans: tuple[Mat, ...]  # rows span the subspace at each vertex
@@ -174,8 +173,7 @@ class ArrowRef(NamedTuple):
     arrow: Arrow
 
 
-@dataclass(frozen=True)
-class SubrepCheck:
+class SubrepCheck(NamedTuple):
     valid: bool
     dims: Optional[DimVector] = None
     failing_map: Optional[ArrowRef] = None
@@ -256,16 +254,14 @@ class SearchLimits:
                 raise TypeError(f"SearchLimits.{name} must be an int, not {value!r}")
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(NamedTuple):
     """What a completed search actually looked at."""
 
     seeds_tried: tuple[tuple[str, int], ...]
     budget_used: int
 
 
-@dataclass(frozen=True)
-class DestabilizerResult:
+class DestabilizerResult(NamedTuple):
     found: bool
     witness: Optional[SubrepWitness] = None
     slope: Optional[Fraction] = None
@@ -651,8 +647,7 @@ def destabilizer_search(
     )
 
 
-@dataclass(frozen=True)
-class FiltrationResult:
+class FiltrationResult(NamedTuple):
     complete: bool
     steps: tuple[SubrepWitness, ...] = ()
     graded_dims: tuple[DimVector, ...] = ()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .decomposition import PolystableDecomposition
 from .errors import (
@@ -120,8 +120,7 @@ INFINITE_SLOPE = _InfiniteSlope()
 Slope = Union[Fraction, _InfiniteSlope]
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     """An exact phase in (0, 1], i.e. a direction in the closed upper
     half-plane minus the nonnegative real axis.
 
@@ -289,8 +288,7 @@ def filtration_weight(z: StabilityFunction, filt: WeightedFiltration) -> Fractio
     return out
 
 
-@dataclass(frozen=True)
-class FormalKClass:
+class FormalKClass(NamedTuple):
     """A finite Laurent expression sum(u^e * class_e) over the lattice."""
 
     terms: tuple[tuple[int, LatticeVector], ...]  # sorted by exponent
@@ -307,8 +305,7 @@ def k_class(filt: WeightedFiltration) -> FormalKClass:
     return FormalKClass(tuple(terms))
 
 
-@dataclass(frozen=True)
-class ThetaVerdict:
+class ThetaVerdict(NamedTuple):
     """Outcome of the instability test against declared subobject classes."""
 
     unstable: bool

@@ -17,7 +17,7 @@ test that certifies the product form of a totally semistable stratum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .decomposition import PolystableDecomposition
 from .errors import (
@@ -84,14 +84,12 @@ def _effective_against(z0: StabilityFunction) -> EffectivityPredicate:
     return effective
 
 
-@dataclass(frozen=True)
-class TssWitness:
+class TssWitness(NamedTuple):
     criterion: str  # "isotropic-pairing-one" or "effective-spherical"
     witness: LatticeVector
 
 
-@dataclass(frozen=True)
-class TssSearch:
+class TssSearch(NamedTuple):
     detected: bool
     witness: Optional[TssWitness] = None
     searched_bound: Optional[int] = None
@@ -140,8 +138,7 @@ def detect_totally_semistable(
 # Stratum analysis
 
 
-@dataclass(frozen=True)
-class HasStableDeformation:
+class HasStableDeformation(NamedTuple):
     """Some sub-sum of the decomposition, taken with multiplicity one,
     deforms to a stable object.  ``summand_indices`` lists, by ``via``:
     "merge", the pair that merges, which deforms; "multiplicity", the
@@ -156,8 +153,7 @@ class HasStableDeformation:
     via: str  # "merge" | "multiplicity" | "genus" | "component"
 
 
-@dataclass(frozen=True)
-class TotallySemistableShape:
+class TotallySemistableShape(NamedTuple):
     """Tree shape v = w + sum(s_i): one optional positive class and
     pairwise spherical leaves; the stratum is a product accordingly."""
 
@@ -167,16 +163,14 @@ class TotallySemistableShape:
     leaf: Optional[LatticeVector] = None
 
 
-@dataclass(frozen=True)
-class ProductSplit:
+class ProductSplit(NamedTuple):
     """Disconnected ext-graph: the stratum is a product over components."""
 
     kind = "product_split"
     factors: tuple["Factor", ...]
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     kind = "inconclusive"
     reason: str
 
@@ -184,8 +178,7 @@ class Inconclusive:
 Verdict = Union[HasStableDeformation, TotallySemistableShape, ProductSplit, Inconclusive]
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One factor of a product-shaped stratum."""
 
     kind: str  # "positive" | "spherical_point" | "symmetric_power"
@@ -193,8 +186,7 @@ class Factor:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
-class StratumReport:
+class StratumReport(NamedTuple):
     verdict: Verdict
     trace: tuple[dict, ...]
 

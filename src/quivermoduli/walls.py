@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .decomposition import PolystableDecomposition
 from .errors import DegenerateValueError, LatticeMismatchError
@@ -84,8 +84,7 @@ class CharacterPoint:
         return Fraction(self._dot_numerator(m), self._cleared[0] * total)
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Potential wall cut by a positive root: the hyperplane where the
     character annihilates the (primitive) root.
 
@@ -126,8 +125,7 @@ def enumerate_walls(
     return tuple(walls[key] for key in sorted(walls))
 
 
-@dataclass(frozen=True)
-class ChamberSignature:
+class ChamberSignature(NamedTuple):
     """Signs of theta against the canonical wall list; a signature with
     no zeros on the proper walls is an open chamber, a zero there puts
     theta on a wall.  Degenerate walls vanish identically on the whole

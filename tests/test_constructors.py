@@ -2,7 +2,9 @@
 field types and exceptions as a two-pass reference coercion, and the
 same ``repr``, ``hash`` and ``==`` as recorded before the single pass.
 An integer field (Gram entries, coordinates, a dimension vector) is not
-coerced: an entry that is not an int is refused."""
+coerced: an entry that is not an int is refused.  The result records
+keep the ``repr``, ``hash`` and same-class ``==`` recorded when they
+were dataclasses."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import dataclasses
 import hashlib
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -21,7 +24,9 @@ from quivermoduli import (
     PolystableDecomposition,
     StabilityFunction,
 )
+from quivermoduli import cli, quiver, representation, stability, stratum, walls
 from quivermoduli.lattice import LatticeVector
+from quivermoduli.scenario import load_scenario
 from quivermoduli.stability import GaussianRational as G
 
 from genutil import FractionSubclass, orthogonal_character, reference_rational, strict_ints
@@ -205,3 +210,121 @@ def test_stability_function_stores_its_values_as_a_tuple():
 def test_stability_function_rejects_other_values_at_construction():
     with pytest.raises(AttributeError):
         StabilityFunction(LAT2, (1, 2))
+
+
+# --- result records ----------------------------------------------------------
+
+RECORDS = {
+    "SimpleRepVerdict",
+    "SubrepWitness", "SubrepCheck", "SearchCertificate", "DestabilizerResult",
+    "FiltrationResult",
+    "Phase", "FormalKClass", "ThetaVerdict",
+    "Wall", "ChamberSignature",
+    "TssWitness", "TssSearch", "HasStableDeformation", "TotallySemistableShape",
+    "ProductSplit", "Inconclusive", "Factor", "StratumReport",
+    "Overrides", "Report",
+}
+
+
+def _fields_of(record) -> dict:
+    """A record's fields by name, read from ``_fields`` or, on a
+    dataclass, from ``dataclasses.fields``."""
+    names = (record._fields if hasattr(record, "_fields")
+             else [f.name for f in dataclasses.fields(record)])
+    return {name: getattr(record, name) for name in names}
+
+
+def _records() -> list:
+    """Instances of every result record, built by the library calls that
+    return them on the tree_wall scenario and fixed inputs."""
+    sc = load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / "tree_wall.json"))
+    q, rep, theta = sc.effective_quiver(), sc.representations["R"], sc.characters["theta"]
+    w, s, v = (sc.vectors[name] for name in ("w", "s", "v"))
+    z, z0 = sc.stability["Z"], sc.stability["Z0"]
+    out = [quiver.simple_rep_exists(q, n) for n in ((1, 1), (2, 1), (0, 3), (2, 2))]
+
+    limits = representation.SearchLimits()
+    for th in (theta, (-1, 1), (0, 0)):
+        found = representation.destabilizer_search(rep, th, limits)
+        out += [found, found.witness or found.certificate,
+                representation.jordan_holder_search(rep, th, limits)]
+    out.append(representation.jordan_holder_search(rep, (0, 0), representation.SearchLimits(budget=1)))
+    witness = representation.destabilizer_search(rep, theta, limits).witness
+    mapped = representation.DoubleQuiverRep(
+        q, (1, 1), (((0,),), ((0,),), ((1,),)), (((0,),), ((0,),), ((0,),)))
+    out += [representation.verify_subrep(rep, witness), representation.verify_subrep(mapped, witness)]
+
+    out += [stability.phase(z, x) for x in (v, w, s)] + [stability.phase(z0, v)]
+    filtration = stability.WeightedFiltration(((1, s), (0, w)))
+    out += [stability.k_class(filtration),
+            stability.k_class(stability.WeightedFiltration(((2, w), (0, s))))]
+    out += [stability.theta_unstable(z, v, [s, w]), stability.theta_unstable(z, v, [w])]
+
+    for n in ((1, 1), (2, 2), (3, 1)):
+        found = walls.enumerate_walls(q, n)
+        out += list(found)
+        for th in ((1, -1), (0, 0)):
+            if n[0] * th[0] + n[1] * th[1] == 0:
+                out.append(walls.locate_chamber(walls.CharacterPoint(th, n), found))
+    out.append(walls.locate_chamber(walls.CharacterPoint((1, -3), (3, 1)),
+                                    walls.enumerate_walls(q, (3, 1))))
+
+    found = stratum.detect_totally_semistable(stratum.HyperbolicPair(sc.lattice, v), z0, 6)
+    out += [found, found.witness]
+    for gram in (((2, 1), (1, 0)), ((2, 0), (0, -2))):
+        lat = GramLattice(gram)
+        out.append(stratum.detect_totally_semistable(
+            stratum.HyperbolicPair(lat, lat.vector((1, 0))),
+            StabilityFunction(lat, (G.of(0, 1), G.of(0, 1))), 3))
+        out.append(out[-1].witness or out[-1])
+    for gram, mult in ((((2, 1), (1, -2)), (1, 1)), (((2, 3), (3, 2)), (1, 1)),
+                       (((2, 0), (0, 0)), (1, 2)), (((2, 1), (1, 2)), (1, 1)),
+                       (((2, 1), (1, 0)), (1, 1)), (((2,),), (2,)), (((4,),), (1,))):
+        lat = GramLattice(gram, even=True)
+        dec = PolystableDecomposition.of(
+            (lat.basis_vector(i), m) for i, m in enumerate(mult))
+        report = stratum.analyze_stratum(dec)
+        out += [report, report.verdict]
+        if isinstance(report.verdict, (stratum.TotallySemistableShape, stratum.ProductSplit)):
+            out += stratum.product_shape(report)
+
+    for overrides in (cli.Overrides(), cli.Overrides(seed=3, budget=40, bound=2)):
+        out.append(overrides)
+        for command, args in (("lattice pair", {"a": "w", "b": "s"}), ("stratum analyze", {}),
+                              ("quiver simple-exists", {"n": "2,1"})):
+            report = cli.run_command(sc, command, args, overrides)
+            out.append(type(report)(**dict(_fields_of(report), timing_ms=0.0)))
+    return out
+
+
+def _record_lines() -> list[str]:
+    """repr, hash and same-class == of each record: hash as whether it is
+    the hash of the field tuple and of a copy (or "unhashable"), == and
+    != against a copy and against the previous record of its class."""
+    lines, previous = [], {}
+    for record in _records():
+        name = type(record).__name__
+        fields = _fields_of(record)
+        copy = type(record)(**fields)
+        try:
+            hashed = f"{hash(record) == hash(tuple(fields.values()))} {hash(record) == hash(copy)}"
+        except TypeError:
+            hashed = "unhashable"
+        other = previous.get(name)
+        lines.append(f"{name} {record!r} {hashed} {record == copy} {record != copy} "
+                     f"{record == other} {record != other}")
+        previous[name] = record
+    return lines
+
+
+# sha256 of the record lines, recorded from the dataclass records.
+RECORD_DIGEST = "be74874025f5295b29965b621c561377e5a1bbe6fdf55e5e6d676f945ae916d4"
+
+
+def test_every_result_record_is_in_the_corpus():
+    assert {type(record).__name__ for record in _records()} == RECORDS
+
+
+def test_records_repr_hash_and_eq_match_recorded_digest():
+    digest = hashlib.sha256("\n".join(_record_lines()).encode()).hexdigest()
+    assert digest == RECORD_DIGEST

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import math
@@ -564,8 +565,11 @@ class TestMainEntry:
         (["--bound", "x", "lattice", "signature"], "quivermoduli: argument --bound: invalid int value: 'x'"),
         (["lattice", "signature", "extra"], "quivermoduli: unrecognized arguments: extra"),
         (["--json", "lattice", "signature"], "quivermoduli: unrecognized arguments: --json"),
+        (["--out", "/nonexistent/dir/r.json", "lattice", "signature"],
+         "[Errno 2] No such file or directory: '/nonexistent/dir/r.json'"),
+        (["--out", ".", "lattice", "signature"], "[Errno 21] Is a directory: '.'"),
     ], ids=["unknown-action", "missing-action", "missing-positional", "bad-int", "extra",
-            "removed-json-flag"])
+            "removed-json-flag", "out-in-missing-directory", "out-is-a-directory"])
     def test_argparse_failure_is_one_json_line(self, tmp_path, capsys, argv, message):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(base_doc()))
@@ -591,8 +595,27 @@ class TestMainEntry:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
 
     def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        assert capsys.readouterr().out.startswith("usage: quivermoduli")
+        for argv, usage in ((["--help"], "quivermoduli [-h] --scenario"),
+                            (["lattice", "--help"], "quivermoduli lattice [-h]"),
+                            (["lattice", "pair", "--help"], "quivermoduli lattice pair [-h] a b")):
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith(f"usage: {usage}")
+
+    def test_one_command_builds_three_parsers(self, tmp_path, monkeypatch):
+        # The top parser, the group parser and the command parser: none
+        # for the other groups and commands.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(base_doc()))
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["--scenario", str(path), "walls", "xi", "Z", "--z0", "Z0"]) == 0
+        assert built == ["quivermoduli", "quivermoduli walls", "quivermoduli walls xi"]
 
     def test_malformed_inline_args_exit_two(self, tmp_path, capsys):
         path = tmp_path / "s.json"
